@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import GENERALIZED, STANDARD, classical_limit, evaluate
 from .errors import (
@@ -188,10 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: building takes longer than most commands run.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

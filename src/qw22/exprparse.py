@@ -307,17 +307,19 @@ def _invert(x: Element) -> Element:
 
 
 def _power(base: Element, k: int) -> Element:
+    """x^k as the left fold (...((x*x)*x)...)*x, the grouping `*` uses;
+    a single term c*T^d has the closed form c^k T^(dk)."""
     if k < 0:
         base = _invert(base)
         k = -k
+    items = base.terms()
+    if len(items) == 1 and not (items[0][0].l_block or items[0][0].w_block):
+        nw, c = items[0]
+        t_power = NormalWord(t_exp=nw.t_exp * k)
+        return _raw_element(base.profile, {t_power: c ** k})
     out = Element.unit(base.profile)
-    sq = base
-    while k:
-        if k & 1:
-            out = multiply(out, sq)
-        k >>= 1
-        if k:
-            sq = multiply(sq, sq)
+    for _ in range(k):
+        out = multiply(out, base)
     return out
 
 

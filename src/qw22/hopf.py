@@ -30,8 +30,9 @@ from .algebra import (
     UNIT_WORD,
     W,
     Word,
-    _multiply_words,
+    _add_term,
     _raw_element,
+    _word_product,
     element_from,
     element_text,
     multiply,
@@ -84,12 +85,7 @@ class TensorElement:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            _add_term(out, key, c)
         return _raw_tensor(out)
 
     def __sub__(self, other):
@@ -173,24 +169,15 @@ def tensor_of(x: Element, y: Element) -> TensorElement:
 
 def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     """Slotwise product; each slot is normally ordered independently."""
+    one = LaurentPoly.one()
     out: dict = {}
     for (a1, a2), c in u._terms.items():
         for (b1, b2), d in v._terms.items():
-            cd = c * d
-            if not cd:
-                continue
-            left = _multiply_words(a1, b1, STANDARD)
-            right = _multiply_words(a2, b2, STANDARD)
-            for n1, f1 in left._terms.items():
-                cf = cd * f1
-                for n2, f2 in right._terms.items():
-                    key = (n1, n2)
-                    v2 = out.get(key)
-                    v2 = cf * f2 if v2 is None else v2 + cf * f2
-                    if v2:
-                        out[key] = v2
-                    else:
-                        out.pop(key, None)
+            left = _word_product(a1, b1, STANDARD, c * d)
+            right = _word_product(a2, b2, STANDARD, one)
+            for n1, f1 in left.items():
+                for n2, f2 in right.items():
+                    _add_term(out, (n1, n2), f1 if f2 is one else f1 * f2)
     return _raw_tensor(out)
 
 
@@ -270,7 +257,16 @@ def _word_coproduct(nw: NormalWord) -> TensorElement:
 
 @lru_cache(maxsize=1 << 14)
 def _word_antipode(nw: NormalWord) -> Element:
-    return map_word_antipode(nw.generator_sequence())
+    # S(T^d X1...Xr) = S(Xr)...S(X1) T^-d, multiplied left to right.
+    out = Element.unit(STANDARD)
+    for kind, block in (("W", nw.w_block), ("L", nw.l_block)):
+        for n, k in reversed(block):
+            image = _gen_antipode(GeneratorSymbol(kind, n))
+            for _ in range(k):
+                out = multiply(out, image)
+    if nw.t_exp:
+        out = multiply(out, element_from(NormalWord(t_exp=-nw.t_exp)))
+    return out
 
 
 def coproduct(x: Element) -> TensorElement:
@@ -331,14 +327,7 @@ def _triple_expand(t: TensorElement, slot: int) -> dict:
     for (a, b), c in t._terms.items():
         inner = _word_coproduct(a if slot == 0 else b)
         for (u, v), d in inner._terms.items():
-            key = (u, v, b) if slot == 0 else (a, u, v)
-            val = out.get(key)
-            cd = c * d
-            val = cd if val is None else val + cd
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            _add_term(out, (u, v, b) if slot == 0 else (a, u, v), c * d)
     return out
 
 
@@ -360,12 +349,7 @@ class _TripleDiff:
     def __init__(self, left: dict, right: dict):
         diff = dict(left)
         for key, c in right.items():
-            v = diff.get(key)
-            v = -c if v is None else v - c
-            if v:
-                diff[key] = v
-            else:
-                diff.pop(key, None)
+            _add_term(diff, key, -c)
         self.diff = diff
 
     def is_zero(self):
@@ -489,9 +473,8 @@ def check_axiom(axiom: str, arg=None) -> tuple:
         t = coproduct(x)
         got = TensorElement()
         for (a, b), c in t._terms.items():
-            e = map_word_counit(a.generator_sequence())
-            if e:
-                got = got + _raw_tensor({(UNIT_WORD, b): c * e})
+            if not (a.l_block or a.w_block):
+                got = got + _raw_tensor({(UNIT_WORD, b): c})
         want = tensor_of(Element.unit(STANDARD), x)
         diff = got - want
         return diff.is_zero(), (None if diff.is_zero() else diff)
@@ -500,9 +483,8 @@ def check_axiom(axiom: str, arg=None) -> tuple:
         t = coproduct(x)
         got = TensorElement()
         for (a, b), c in t._terms.items():
-            e = map_word_counit(b.generator_sequence())
-            if e:
-                got = got + _raw_tensor({(a, UNIT_WORD): c * e})
+            if not (b.l_block or b.w_block):
+                got = got + _raw_tensor({(a, UNIT_WORD): c})
         want = tensor_of(x, Element.unit(STANDARD))
         diff = got - want
         return diff.is_zero(), (None if diff.is_zero() else diff)

@@ -270,8 +270,9 @@ def _suite_hopf_axioms(bounds: SuiteBounds, rng) -> tuple:
                     f"y={word_text(wy) or '1'}: {witness}"
                 ),
             )
-    ok, _w = check_axiom("cocommutativity-witness", element_from(L(1)))
-    rec.record(ok, lambda: "expected delta(L[1]) to differ from its flip")
+    # Delta is cocommutative (README), so a flip witness is a failure.
+    found, witness = check_axiom("cocommutativity-witness", element_from(L(1)))
+    rec.record(not found, lambda: f"delta(L[1]) differs from its flip by {witness}")
     ok, _w = check_axiom("commutativity-witness", (0, 1))
     rec.record(ok, lambda: "expected L[0] and L[1] not to commute")
     return "standard-q", rec

@@ -57,6 +57,14 @@ def test_normalize_generalized_profile():
 def test_coproduct_and_antipode():
     assert run(["coproduct", "L[1]"])[1] == "(L[1]) (x) (T) + (T) (x) (L[1])\n"
     assert run(["antipode", "W[2]"])[1] == "-q^-12 * T^-4 W[2]\n"
+    assert run(["antipode", "T^8000"]) == (0, "T^-8000\n", "")
+
+
+def test_normalize_long_word():
+    # Inserting L[0] behind 1500 letters L[1] nests 1500 sub-insertions.
+    code, out, _ = run(["normalize", "L[1]^1500 L[0]"])
+    fused = " - ".join(f"q^-{e}" for e in range(1, 3000, 2))
+    assert (code, out) == (0, f"q^-3000 * L[0] L[1]^1500 + (-{fused}) * L[1]^1500\n")
 
 
 def test_eval_and_limit():
@@ -98,6 +106,9 @@ def test_bound_failures_exit_3():
     code, out, err = run(["normalize", "L[9999999]"])
     assert (code, out) == (3, "")
     assert err == "error: generator index 9999999 beyond cap 1048576\n"
+    code, out, err = run(["normalize", "T^99999999999999999999"])
+    assert (code, out) == (3, "")
+    assert err == "error: T-power beyond the checked window\n"
 
 
 def test_unknown_subcommand_exits_2():
@@ -130,9 +141,15 @@ def test_failing_suite_report_still_emitted():
     assert lines[0] == "suite: hopf-axioms"
     assert lines[3] == "seed: 7"
     assert lines[4] == "cases run: 522"
-    assert lines[5] == "cases failed: 44"
+    assert lines[5] == "cases failed: 43"
     assert lines[6].startswith("first counterexample: delta-hom failed on")
     assert lines[-1] == "result: FAIL"
+
+
+def test_cocommutativity_is_not_a_failure():
+    code, out, _ = run(["check", "hopf-axioms", "--max-index", "0", "--cases", "0"])
+    assert code == 0
+    assert out.splitlines()[5:] == ["cases failed: 0", "result: PASS"]
 
 
 def test_suite_json_report():
@@ -187,7 +204,7 @@ def test_check_all_aggregates_every_suite():
     ]
     aggregate = blocks[-1].splitlines()
     assert "cases run: 4508" in aggregate
-    assert "cases failed: 214" in aggregate
+    assert "cases failed: 213" in aggregate
     assert aggregate[-1] == "result: FAIL"
     assert len(re.findall(r"wall time: \d+\.\d{3}s", err)) == 10
     assert err.splitlines()[-1].startswith("[all] wall time:")

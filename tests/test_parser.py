@@ -91,6 +91,19 @@ def test_bounds_surface_as_arithmetic_errors():
         parse_element("L[9999999]")
     with pytest.raises(ArithmeticBoundError):
         parse_element("q^99999999999999999999")
+    with pytest.raises(ArithmeticBoundError):
+        parse_element("T^99999999999999999999")
+
+
+def test_power_is_the_left_fold():
+    # This base does not associate: x*(x*x) differs from (x*x)*x.
+    x = "(L[1] + L[-1] + L[-2])"
+    assert parse_element(f"{x}^3") == parse_element(f"{x}*{x}*{x}")
+    assert parse_element(f"{x}^3") != parse_element(f"{x}*({x}*{x})")
+    # A single term c*T^d takes the closed form c^k T^(dk).
+    assert element_text(parse_element("(2q T^-2)^3")) == "8*q^3 * T^-6"
+    assert parse_element("(2q T^-2)^3") == parse_element("(2q T^-2)(2q T^-2)(2q T^-2)")
+    assert parse_element("(q T)^-2") == parse_element("q^-2 T^-2")
 
 
 def test_round_trip_standard():
