@@ -336,6 +336,24 @@ def test_evaluate_exactness():
     with pytest.raises(ProfileError):
         evaluate(y, Fraction(2))
     assert str(evaluate(element_from(L(1)).scaled(qp(1)), Fraction(2))) == "2 * L[1]"
+    mixed = (
+        element_from(L(1)).scaled(qp(1) - 3 * qp(2))
+        + element_from(-3)
+        + element_from(W(-2)).scaled(qp(-1))
+    )
+    half = evaluate(mixed, Fraction(1, 2))
+    assert str(half) == "-3 + 2 * W[-2] - 1/4 * L[1]"
+    assert str(evaluate(mixed, Fraction(-2, 3))) == "-3 - 3/2 * W[-2] - 2 * L[1]"
+    assert str(classical_limit(mixed)) == "-3 + W[-2] - 2 * L[1]"
+    assert str(evaluate(element_from(-3), Fraction(1, 2))) == "-3"
+    assert str(evaluate(element_from(1) - element_from(L(0)), 2)) == "1 - L[0]"
+    assert half.to_json_obj() == {
+        "terms": [
+            {"coeff": "-3", "t": 0, "l": [], "w": []},
+            {"coeff": "2", "t": 0, "l": [], "w": [[-2, 1]]},
+            {"coeff": "-1/4", "t": 0, "l": [[1, 1]], "w": []},
+        ]
+    }
 
 
 def test_substitute_p_inverse_recovers_standard():

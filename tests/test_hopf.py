@@ -134,6 +134,25 @@ def test_tensor_element_is_linear_and_immutable():
         u._terms = {}
     assert flip(flip(u)) == u
     assert flip(u) == v
+    t = coproduct(el(L(1)).scaled(q_int(2)) - el(W(0)))
+    assert tensor_text(t) == (
+        "-(1) (x) (W[0]) - (W[0]) (x) (1)"
+        " + (q + q^-1) * (L[1]) (x) (T) + (q + q^-1) * (T) (x) (L[1])"
+    )
+    minus_one = {"terms": [{"eq": 0, "c": "-1"}]}
+    q_two = {"terms": [{"eq": 1, "c": "1"}, {"eq": -1, "c": "1"}]}
+    unit = {"t": 0, "l": [], "w": []}
+    w0 = {"t": 0, "l": [], "w": [[0, 1]]}
+    l1 = {"t": 0, "l": [[1, 1]], "w": []}
+    t1 = {"t": 1, "l": [], "w": []}
+    assert t.to_json_obj() == {
+        "terms": [
+            {"coeff": minus_one, "slots": [unit, w0]},
+            {"coeff": minus_one, "slots": [w0, unit]},
+            {"coeff": q_two, "slots": [l1, t1]},
+            {"coeff": q_two, "slots": [t1, l1]},
+        ]
+    }
 
 
 def test_coproduct_of_a_square():

@@ -91,6 +91,21 @@ def test_vectors_are_linear():
     assert w == apply_generator(L(1), basis_vector(Q, 2, 0)) + apply_generator(
         L(1), basis_vector(Q, 5, 0)
     ).scaled(q_int(2))
+    # signed monomials lose their sign to the joiner; longer coefficients
+    # keep theirs inside parentheses
+    mixed = (
+        basis_vector(Q, 1, 0).scaled(-2)
+        + basis_vector(Q, 3, 1).scaled(q_int(2))
+        - basis_vector(Q, 0, 0).scaled(LaurentPoly.q_power(2))
+        - basis_vector(Q, 2, 1).scaled(-q_int(3))
+    )
+    assert str(mixed) == (
+        "-q^2 * |0,0> - 2 * |1,0> + (q^2 + 1 + q^-2) * |2,1> + (q + q^-1) * |3,1>"
+    )
+    two = basis_vector(P2, -1, 0).scaled(-LaurentPoly.p_power(1)) + basis_vector(
+        P2, 2, 0
+    ).scaled(q_int(-2, 2))
+    assert str(two) == "-p * |-1,0> + (-q^-1*p^-2 - q^-2*p^-1) * |2,0>"
 
 
 def test_profile_mismatch_raises():
