@@ -59,7 +59,7 @@ from .hopf import (
     tensor_of,
     tensor_text,
 )
-from .laurent import EXPONENT_BOUND, LaurentPoly, lp_eval, q_identity_check, q_int
+from .laurent import EXPONENT_BOUND, LaurentPoly, q_identity_check, q_int
 from .oscillator import (
     CLASSICAL,
     Q_DEFORMED,
@@ -112,7 +112,6 @@ __all__ = [
     "L",
     "ladder_weight",
     "LaurentPoly",
-    "lp_eval",
     "ModuleVector",
     "multiply",
     "NormalWord",

@@ -11,6 +11,9 @@ with i1 < ... < ir and j1 < ... < js, T-power first.  Two deformation
 profiles are supported: the standard one-parameter profile (coefficients in
 Z[q, q^-1], T allowed) and a generalized two-parameter profile
 (coefficients in Z[q^±1, p^±1], T-free).  All rewriting is exact.
+
+`Combination` is the sparse linear-combination core shared by elements,
+evaluated elements, tensors (`hopf`) and module vectors (`oscillator`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import ArithmeticBoundError, ProfileError
 from .laurent import EXPONENT_BOUND, LaurentPoly, q_int
@@ -115,6 +118,13 @@ class NormalWord:
             syms.extend([GeneratorSymbol("W", n)] * k)
         return tuple(syms)
 
+    def to_json_obj(self) -> dict:
+        return {
+            "t": self.t_exp,
+            "l": [[n, k] for n, k in self.l_block],
+            "w": [[n, k] for n, k in self.w_block],
+        }
+
     def text(self) -> str:
         pieces = []
         d = self.t_exp
@@ -132,39 +142,72 @@ class NormalWord:
 UNIT_WORD = NormalWord()
 
 
-class Element:
-    """A finite linear combination of normal words over the profile's ring."""
+# -- sparse linear combinations ---------------------------------------------
+
+
+def _add_term(out: dict, key, c) -> None:
+    """out[key] += c on a sparse {key: coeff} map, dropping zeros."""
+    prev = out.get(key)
+    if prev is not None:
+        c = prev + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def _add_scaled(out: dict, terms: dict, factor) -> None:
+    """out += factor * terms on sparse {key: coeff} maps."""
+    for key, c in terms.items():
+        _add_term(out, key, c * factor)
+
+
+def _signed(c) -> tuple:
+    """A coefficient as (negative, magnitude text).  A monomial or a rational
+    gives its sign to the joiner and renders as "" when it is 1; a longer
+    polynomial keeps its signs inside parentheses."""
+    if isinstance(c, LaurentPoly):
+        if c.term_count != 1:
+            return False, f"({c})"
+        if c.is_one():
+            return False, ""
+    text = str(c)
+    neg = text[0] == "-"
+    if neg:
+        text = text[1:]
+    return neg, ("" if text == "1" else text)
+
+
+class Combination:
+    """A finite sum of keys with exact coefficients, stored as {key: coeff}
+    with no zero coefficient.
+
+    Subclasses check their input in __init__ and name their key order
+    (`_sort_key`, on (key, coeff) pairs) and key text (`_key_text`); the
+    arithmetic, equality, hashing, immutability and text form live here.
+    Sums need equal types and the same profile.
+    """
 
     __slots__ = ("profile", "_terms")
 
-    def __init__(self, profile: DeformationProfile, terms: dict | None = None):
-        clean = {}
-        nv = profile.nvars
-        if terms:
-            for nw, c in terms.items():
-                if c.nvars != nv:
-                    raise ProfileError("coefficient profile does not match element profile")
-                if profile is GENERALIZED and nw.t_exp:
-                    raise ProfileError("T symbols are not supported in the generalized profile")
-                if c:
-                    clean[nw] = c
+    def __init__(self, profile, terms: dict | None = None):
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {k: c for k, c in terms.items() if c} if terms else {})
+
+    @classmethod
+    def _raw(cls, profile, terms: dict):
+        """Wrap a zero-free {key: coeff} map as is: no checks, no copy."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "profile", profile)
+        object.__setattr__(obj, "_terms", terms)
+        return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
-
-    @staticmethod
-    def unit(profile: DeformationProfile = STANDARD) -> "Element":
-        return Element(profile, {UNIT_WORD: LaurentPoly.one(profile.nvars)})
-
-    @staticmethod
-    def zero(profile: DeformationProfile = STANDARD) -> "Element":
-        return Element(profile, {})
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def terms(self) -> tuple:
-        """Term pairs (NormalWord, coeff) in canonical ascending word order."""
-        return tuple(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
+        """Term pairs (key, coeff) in canonical ascending key order."""
+        return tuple(sorted(self._terms.items(), key=self._sort_key))
 
     @property
     def term_count(self) -> int:
@@ -173,89 +216,124 @@ class Element:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, nw: NormalWord) -> LaurentPoly:
-        return self._terms.get(nw, LaurentPoly.zero(self.profile.nvars))
-
-    def _require_same(self, other: "Element"):
+    def _require_same(self, other):
         if self.profile is not other.profile:
-            raise ProfileError("mixed deformation profiles")
+            raise ProfileError(f"mixed profiles {self.profile.value} and {other.profile.value}")
 
-    def __add__(self, other):
-        if not isinstance(other, Element):
+    def _merged(self, other, sign: int):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same(other)
         out = dict(self._terms)
-        for nw, c in other._terms.items():
-            _add_term(out, nw, c)
-        return _raw_element(self.profile, out)
+        for key, c in other._terms.items():
+            _add_term(out, key, c if sign > 0 else -c)
+        return self._raw(self.profile, out)
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __neg__(self):
-        return _raw_element(self.profile, {nw: -c for nw, c in self._terms.items()})
+        return self._raw(self.profile, {k: -c for k, c in self._terms.items()})
 
-    def scaled(self, factor) -> "Element":
-        if isinstance(factor, int):
-            factor = LaurentPoly.constant(factor, self.profile.nvars)
-        if factor.nvars != self.profile.nvars:
-            raise ProfileError("scalar profile does not match element profile")
-        if not factor:
-            return Element.zero(self.profile)
+    def scaled(self, factor):
         out = {}
-        for nw, c in self._terms.items():
+        for key, c in self._terms.items():
             v = c * factor
             if v:
-                out[nw] = v
-        return _raw_element(self.profile, out)
+                out[key] = v
+        return self._raw(self.profile, out)
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            return multiply(self, other)
         if isinstance(other, (LaurentPoly, int)):
             return self.scaled(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scaled(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, Element):
-            return self.profile is other.profile and self._terms == other._terms
-        return NotImplemented
+        if not isinstance(other, Combination):
+            return NotImplemented
+        return (
+            type(other) is type(self)
+            and self.profile is other.profile
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         return hash((self.profile, frozenset(self._terms.items())))
 
     def __str__(self):
-        return element_text(self)
+        return self._render()
 
     def __repr__(self):
-        return f"<Element {element_text(self)}>"
+        return f"<{type(self).__name__} {self}>"
+
+    def _render(self) -> str:
+        """`coeff * key` terms in key order, joined by their signs; a lone
+        term with an empty key text is the coefficient alone."""
+        items = self.terms()
+        if not items:
+            return "0"
+        key_text = self._key_text
+        if len(items) == 1 and not key_text(items[0][0]):
+            return str(items[0][1])
+        chunks = []
+        for key, c in items:
+            kt = key_text(key)
+            neg, mag = _signed(c)
+            body = (f"{mag} * {kt}" if mag else kt) if kt else (mag or "1")
+            if chunks:
+                chunks.append(f"- {body}" if neg else f"+ {body}")
+            else:
+                chunks.append(f"-{body}" if neg else body)
+        return " ".join(chunks)
+
+
+def _word_order(term):
+    return term[0].sort_key()
+
+
+class Element(Combination):
+    """A finite linear combination of normal words over the profile's ring."""
+
+    __slots__ = ()
+    _sort_key = staticmethod(_word_order)
+    _key_text = staticmethod(NormalWord.text)
+
+    def __init__(self, profile: DeformationProfile, terms: dict | None = None):
+        for nw, c in (terms or {}).items():
+            if c.nvars != profile.nvars:
+                raise ProfileError("coefficient profile does not match element profile")
+            if profile is GENERALIZED and nw.t_exp:
+                raise ProfileError("T symbols are not supported in the generalized profile")
+        super().__init__(profile, terms)
+
+    @staticmethod
+    def unit(profile: DeformationProfile = STANDARD) -> "Element":
+        return Element._raw(profile, {UNIT_WORD: LaurentPoly.one(profile.nvars)})
+
+    @staticmethod
+    def zero(profile: DeformationProfile = STANDARD) -> "Element":
+        return Element._raw(profile, {})
+
+    def coefficient(self, nw: NormalWord) -> LaurentPoly:
+        return self._terms.get(nw, LaurentPoly.zero(self.profile.nvars))
+
+    def __mul__(self, other):
+        if isinstance(other, Element):
+            return multiply(self, other)
+        return Combination.__mul__(self, other)
+
+    def __str__(self):
+        return element_text(self)
 
     def to_json_obj(self) -> dict:
-        out = []
-        for nw, c in self.terms():
-            out.append(
-                {
-                    "coeff": c.to_json_obj(),
-                    "t": nw.t_exp,
-                    "l": [[n, k] for n, k in nw.l_block],
-                    "w": [[n, k] for n, k in nw.w_block],
-                }
-            )
-        return {"terms": out}
-
-
-def _raw_element(profile, terms: dict) -> Element:
-    el = Element.__new__(Element)
-    object.__setattr__(el, "profile", profile)
-    object.__setattr__(el, "_terms", terms)
-    return el
+        return {
+            "terms": [{"coeff": c.to_json_obj(), **nw.to_json_obj()} for nw, c in self.terms()]
+        }
 
 
 def element_from(x, profile: DeformationProfile = STANDARD) -> Element:
@@ -416,17 +494,6 @@ def _insert(tail, letter, profile) -> dict:
         tail, letter = request
 
 
-def _add_term(out: dict, key, c) -> None:
-    """out[key] += c on a sparse {key: coeff} map, dropping zeros."""
-    prev = out.get(key)
-    if prev is not None:
-        c = prev + c
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
-
-
 def _fold(state: dict, letters, profile) -> dict:
     """Insert letters, left to right, into every tail of {normal tail: coeff}."""
     one = LaurentPoly.one(profile.nvars)
@@ -460,7 +527,7 @@ def normalize(word: Word, profile: DeformationProfile = STANDARD) -> Element:
     """Rewrite a free word of generator symbols into the normal basis."""
     exp, t_net, tail = _collect_t(tuple(word), profile)
     front = LaurentPoly.q_power(exp, profile.nvars) if exp else LaurentPoly.one(profile.nvars)
-    return _raw_element(profile, _normal_words(t_net, _fold({(): front}, tail, profile)))
+    return Element._raw(profile, _normal_words(t_net, _fold({(): front}, tail, profile)))
 
 
 def _word_product(nw1: NormalWord, nw2: NormalWord, profile, coeff: LaurentPoly) -> dict:
@@ -488,7 +555,7 @@ def multiply(x: Element, y: Element) -> Element:
         for nw2, c2 in y._terms.items():
             for nw, c in _word_product(nw1, nw2, profile, c1 * c2).items():
                 _add_term(out, nw, c)
-    return _raw_element(profile, out)
+    return Element._raw(profile, out)
 
 
 def q_bracket(x: Element, y: Element, alpha: LaurentPoly, beta: LaurentPoly) -> Element:
@@ -499,66 +566,18 @@ def q_bracket(x: Element, y: Element, alpha: LaurentPoly, beta: LaurentPoly) -> 
 # -- numeric specializations ----------------------------------------------
 
 
-class NumericElement:
+class NumericElement(Combination):
     """An Element whose coefficients have been evaluated to exact rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _sort_key = staticmethod(_word_order)
+    _key_text = staticmethod(NormalWord.text)
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for nw, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[nw] = c
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumericElement is immutable")
-
-    def terms(self) -> tuple:
-        return tuple(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if isinstance(other, NumericElement):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for nw, c in self.terms():
-            wt = nw.text()
-            mag = -c if c < 0 else c
-            body = f"{mag} * {wt}" if wt and mag != 1 else (wt or str(mag))
-            if not chunks:
-                chunks.append(f"-{body}" if c < 0 else body)
-            else:
-                chunks.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(chunks)
-
-    def __repr__(self):
-        return f"<NumericElement {self}>"
+        super().__init__(None, {nw: Fraction(c) for nw, c in terms.items()} if terms else None)
 
     def to_json_obj(self) -> dict:
-        out = []
-        for nw, c in self.terms():
-            out.append(
-                {
-                    "coeff": str(c),
-                    "t": nw.t_exp,
-                    "l": [[n, k] for n, k in nw.l_block],
-                    "w": [[n, k] for n, k in nw.w_block],
-                }
-            )
-        return {"terms": out}
+        return {"terms": [{"coeff": str(c), **nw.to_json_obj()} for nw, c in self.terms()]}
 
 
 def evaluate(x: Element, q_val, p_val=None) -> NumericElement:
@@ -583,7 +602,7 @@ def substitute_p_inverse(x: Element) -> Element:
         v = c.substitute_p_inverse()
         if v:
             out[nw] = v
-    return _raw_element(STANDARD, out)
+    return Element._raw(STANDARD, out)
 
 
 # -- rendering ------------------------------------------------------------
@@ -592,31 +611,4 @@ def substitute_p_inverse(x: Element) -> Element:
 def element_text(el: Element) -> str:
     """Canonical text: `coeff * word` terms joined by signs, words with
     T-power first, then L and W factors."""
-    items = el.terms()
-    if not items:
-        return "0"
-    if len(items) == 1 and items[0][0].is_unit():
-        return str(items[0][1])
-    chunks = []
-    for nw, c in items:
-        wt = nw.text()
-        neg = False
-        if c.term_count == 1:
-            mag = c
-            ((_, _), cv), = c.items()
-            if cv < 0:
-                neg = True
-                mag = -c
-            if not wt:
-                body = str(mag)
-            elif mag.is_one():
-                body = wt
-            else:
-                body = f"{mag} * {wt}"
-        else:
-            body = f"({c}) * {wt}" if wt else f"({c})"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    return el._render()

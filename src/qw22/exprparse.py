@@ -27,7 +27,6 @@ from .algebra import (
     GeneratorSymbol,
     NormalWord,
     UNIT_WORD,
-    _raw_element,
     element_from,
     multiply,
     q_bracket,
@@ -303,7 +302,7 @@ def _invert(x: Element) -> Element:
     nw, c = items[0]
     if nw.l_block or nw.w_block:
         raise UnsupportedInverseError("ladder generators are not invertible")
-    return _raw_element(x.profile, {NormalWord(t_exp=-nw.t_exp): c ** -1})
+    return Element._raw(x.profile, {NormalWord(t_exp=-nw.t_exp): c ** -1})
 
 
 def _power(base: Element, k: int) -> Element:
@@ -316,7 +315,7 @@ def _power(base: Element, k: int) -> Element:
     if len(items) == 1 and not (items[0][0].l_block or items[0][0].w_block):
         nw, c = items[0]
         t_power = NormalWord(t_exp=nw.t_exp * k)
-        return _raw_element(base.profile, {t_power: c ** k})
+        return Element._raw(base.profile, {t_power: c ** k})
     out = Element.unit(base.profile)
     for _ in range(k):
         out = multiply(out, base)

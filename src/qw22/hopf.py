@@ -20,7 +20,7 @@ from math import comb
 
 from .algebra import (
     STANDARD,
-    DeformationProfile,
+    Combination,
     Element,
     GeneratorSymbol,
     L,
@@ -30,11 +30,10 @@ from .algebra import (
     UNIT_WORD,
     W,
     Word,
+    _add_scaled,
     _add_term,
-    _raw_element,
     _word_product,
     element_from,
-    element_text,
     multiply,
     normalize,
 )
@@ -47,111 +46,39 @@ def _require_standard(x: Element):
         raise ProfileError("the Hopf structure lives on the standard profile")
 
 
-class TensorElement:
-    """A finite sum of two-slot tensors of normal words, standard profile."""
+class TensorElement(Combination):
+    """A finite sum of tensors of normal words, standard profile: two slots
+    for the coproduct, three for the coassociativity diagram."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _sort_key = staticmethod(lambda term: tuple(map(NormalWord.sort_key, term[0])))
+    _key_text = staticmethod(lambda key: " (x) ".join([f"({w.text() or '1'})" for w in key]))
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if c.nvars != 1:
-                    raise ProfileError("tensor coefficients live in the one-variable ring")
-                if c:
-                    clean[key] = c
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+        for c in (terms or {}).values():
+            if c.nvars != 1:
+                raise ProfileError("tensor coefficients live in the one-variable ring")
+        super().__init__(STANDARD, terms)
 
     @staticmethod
     def unit() -> "TensorElement":
         return TensorElement({(UNIT_WORD, UNIT_WORD): LaurentPoly.one()})
 
-    def terms(self) -> tuple:
-        return tuple(
-            sorted(
-                self._terms.items(),
-                key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()),
-            )
-        )
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            _add_term(out, key, c)
-        return _raw_tensor(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return _raw_tensor({k: -c for k, c in self._terms.items()})
-
-    def scaled(self, factor) -> "TensorElement":
-        if isinstance(factor, int):
-            factor = LaurentPoly.constant(factor)
-        out = {}
-        for key, c in self._terms.items():
-            v = c * factor
-            if v:
-                out[key] = v
-        return _raw_tensor(out)
-
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             return tensor_multiply(self, other)
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return Combination.__mul__(self, other)
 
     def __str__(self):
         return tensor_text(self)
 
-    def __repr__(self):
-        return f"<TensorElement {tensor_text(self)}>"
-
     def to_json_obj(self) -> dict:
-        out = []
-        for (a, b), c in self.terms():
-            out.append(
-                {
-                    "coeff": c.to_json_obj(),
-                    "slots": [
-                        {"t": w.t_exp, "l": [list(x) for x in w.l_block],
-                         "w": [list(x) for x in w.w_block]}
-                        for w in (a, b)
-                    ],
-                }
-            )
-        return {"terms": out}
-
-
-def _raw_tensor(terms: dict) -> TensorElement:
-    t = TensorElement.__new__(TensorElement)
-    object.__setattr__(t, "_terms", terms)
-    return t
+        return {
+            "terms": [
+                {"coeff": c.to_json_obj(), "slots": [w.to_json_obj() for w in key]}
+                for key, c in self.terms()
+            ]
+        }
 
 
 def tensor_of(x: Element, y: Element) -> TensorElement:
@@ -164,7 +91,7 @@ def tensor_of(x: Element, y: Element) -> TensorElement:
             v = c1 * c2
             if v:
                 out[(nw1, nw2)] = v
-    return _raw_tensor(out)
+    return TensorElement._raw(STANDARD, out)
 
 
 def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
@@ -178,11 +105,11 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
             for n1, f1 in left.items():
                 for n2, f2 in right.items():
                     _add_term(out, (n1, n2), f1 if f2 is one else f1 * f2)
-    return _raw_tensor(out)
+    return TensorElement._raw(STANDARD, out)
 
 
 def flip(t: TensorElement) -> TensorElement:
-    return _raw_tensor({(b, a): c for (a, b), c in t._terms.items()})
+    return TensorElement._raw(STANDARD, {(b, a): c for (a, b), c in t._terms.items()})
 
 
 # -- the three structure maps ----------------------------------------------
@@ -198,11 +125,11 @@ def _gen_coproduct(sym: GeneratorSymbol) -> TensorElement:
     if kind in ("T", "Tinv"):
         d = 1 if kind == "T" else -1
         tw = NormalWord(t_exp=d)
-        return _raw_tensor({(tw, tw): LaurentPoly.one()})
+        return TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
     gen = NormalWord(l_block=((n, 1),)) if kind == "L" else NormalWord(w_block=((n, 1),))
     tn = NormalWord(t_exp=n)
     one = LaurentPoly.one()
-    return _raw_tensor({(gen, tn): one, (tn, gen): one})
+    return TensorElement._raw(STANDARD, {(gen, tn): one, (tn, gen): one})
 
 
 @lru_cache(maxsize=512)
@@ -212,7 +139,9 @@ def _gen_antipode(sym: GeneratorSymbol) -> Element:
         return element_from(NormalWord(t_exp=-1))
     if kind == "Tinv":
         return element_from(NormalWord(t_exp=1))
-    return -normalize(_t_word(-n) + (sym,) + _t_word(-n), STANDARD)
+    # The T-powers cross X[n] in closed form, so |n| costs nothing extra.
+    t = element_from(NormalWord(t_exp=-n))
+    return -multiply(multiply(t, element_from(sym)), t)
 
 
 def map_word_coproduct(word: Word) -> TensorElement:
@@ -243,7 +172,7 @@ def _word_coproduct(nw: NormalWord) -> TensorElement:
     # Group-like T-power in one step, then the ladder images.
     d = nw.t_exp
     tw = NormalWord(t_exp=d)
-    out = _raw_tensor({(tw, tw): LaurentPoly.one()})
+    out = TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
     for n, k in nw.l_block:
         img = _gen_coproduct(GeneratorSymbol("L", n))
         for _ in range(k):
@@ -271,10 +200,10 @@ def _word_antipode(nw: NormalWord) -> Element:
 
 def coproduct(x: Element) -> TensorElement:
     _require_standard(x)
-    out = TensorElement()
+    out: dict = {}
     for nw, c in x._terms.items():
-        out = out + _word_coproduct(nw).scaled(c)
-    return out
+        _add_scaled(out, _word_coproduct(nw)._terms, c)
+    return TensorElement._raw(STANDARD, out)
 
 
 def counit(x: Element) -> LaurentPoly:
@@ -288,10 +217,10 @@ def counit(x: Element) -> LaurentPoly:
 
 def antipode(x: Element) -> Element:
     _require_standard(x)
-    out = Element.zero(STANDARD)
+    out: dict = {}
     for nw, c in x._terms.items():
-        out = out + _word_antipode(nw).scaled(c)
-    return out
+        _add_scaled(out, _word_antipode(nw)._terms, c)
+    return Element._raw(STANDARD, out)
 
 
 def power_closed_form(map_name: str, gen_kind: str, n: int, r: int):
@@ -321,42 +250,14 @@ def power_closed_form(map_name: str, gen_kind: str, n: int, r: int):
 # -- axiom checks -----------------------------------------------------------
 
 
-def _triple_expand(t: TensorElement, slot: int) -> dict:
-    """Apply delta inside one slot of a two-tensor, giving a flat triple."""
+def _triple_expand(t: TensorElement, slot: int) -> TensorElement:
+    """Apply delta inside one slot of a two-tensor, giving a three-slot tensor."""
     out: dict = {}
     for (a, b), c in t._terms.items():
         inner = _word_coproduct(a if slot == 0 else b)
         for (u, v), d in inner._terms.items():
             _add_term(out, (u, v, b) if slot == 0 else (a, u, v), c * d)
-    return out
-
-
-def _triple_text(triple: dict) -> str:
-    if not triple:
-        return "0"
-    bits = []
-    for (a, b, c_w) in sorted(triple, key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key())):
-        coeff = triple[(a, b, c_w)]
-        bits.append(
-            f"({coeff}) * ({a.text() or '1'}) (x) ({b.text() or '1'}) (x) ({c_w.text() or '1'})"
-        )
-    return " + ".join(bits)
-
-
-class _TripleDiff:
-    """Difference of two flat triples, printable as a counterexample."""
-
-    def __init__(self, left: dict, right: dict):
-        diff = dict(left)
-        for key, c in right.items():
-            _add_term(diff, key, -c)
-        self.diff = diff
-
-    def is_zero(self):
-        return not self.diff
-
-    def __str__(self):
-        return _triple_text(self.diff)
+    return TensorElement._raw(STANDARD, out)
 
 
 # Relation ids usable in relation-preservation checks: each maps (m, n) to
@@ -384,11 +285,13 @@ def _relation_words(rel: str, m: int, n: int):
 
 
 def _combine_words(side, mapper, zero):
-    total = zero
-    for scalar, word in side:
-        img = mapper(word)
-        total = total + img.scaled(scalar) if not isinstance(img, LaurentPoly) else total + img * scalar
-    return total
+    return sum((mapper(word) * scalar for scalar, word in side), zero)
+
+
+def _verdict(diff) -> tuple:
+    """(ok, witness) for a law whose two sides differ by diff."""
+    ok = diff.is_zero()
+    return ok, (None if ok else diff)
 
 
 def _preservation(map_name: str, rel: str, m: int, n: int):
@@ -403,9 +306,7 @@ def _preservation(map_name: str, rel: str, m: int, n: int):
         raise ValueError(f"unknown map {map_name!r}")
     left = _combine_words(lhs, mapper, zero)
     right = _combine_words(rhs, mapper, zero)
-    diff = left - right
-    ok = (not diff) if isinstance(diff, LaurentPoly) else diff.is_zero()
-    return ok, (None if ok else diff)
+    return _verdict(left - right)
 
 
 _PRESERVATION_IDS = {
@@ -420,10 +321,10 @@ def check_axiom(axiom: str, arg=None) -> tuple:
     counit-right, antipode-left, antipode-right, s-squared,
     cocommutativity-witness.  Pair axioms (arg is an (x, y) Element pair):
     delta-hom, s-antihom.  Index-pair axioms (arg is (m, n)):
-    commutativity-witness, delta-hom, and every "<map>-<relation>"
-    preservation id with map in delta/eps/s and relation in
-    tl/tw/ll/lw/ww.  The witness conventions are inverted for the two
-    -witness axioms: True means a violation was exhibited.
+    commutativity-witness, and every "<map>-<relation>" preservation id
+    with map in delta/eps/s and relation in tl/tw/ll/lw/ww.  The witness
+    conventions are inverted for the two -witness axioms: True means a
+    violation was exhibited.
     """
     if axiom in _PRESERVATION_IDS:
         m, n = arg
@@ -432,16 +333,14 @@ def check_axiom(axiom: str, arg=None) -> tuple:
 
     if axiom == "delta-hom":
         x, y = arg
-        if isinstance(x, int):
-            return _preservation("delta", "ll", x, y)
         _require_standard(x)
         diff = coproduct(multiply(x, y)) - tensor_multiply(coproduct(x), coproduct(y))
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+        return _verdict(diff)
 
     if axiom == "s-antihom":
         x, y = arg
         diff = antipode(multiply(x, y)) - multiply(antipode(y), antipode(x))
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+        return _verdict(diff)
 
     if axiom == "commutativity-witness":
         m, n = arg
@@ -464,51 +363,46 @@ def check_axiom(axiom: str, arg=None) -> tuple:
     _require_standard(x)
     if axiom == "coassoc":
         t = coproduct(x)
-        left = _triple_expand(t, 0)   # (delta (x) 1) delta
-        right = _triple_expand(t, 1)  # (1 (x) delta) delta
-        d = _TripleDiff(left, right)
-        return d.is_zero(), (None if d.is_zero() else d)
+        # (delta (x) 1) delta - (1 (x) delta) delta
+        diff = _triple_expand(t, 0) - _triple_expand(t, 1)
+        return _verdict(diff)
     if axiom == "counit-left":
         # (eps (x) 1) delta = 1 (x) x
         t = coproduct(x)
-        got = TensorElement()
+        got = {}
         for (a, b), c in t._terms.items():
             if not (a.l_block or a.w_block):
-                got = got + _raw_tensor({(UNIT_WORD, b): c})
-        want = tensor_of(Element.unit(STANDARD), x)
-        diff = got - want
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+                _add_term(got, (UNIT_WORD, b), c)
+        diff = TensorElement._raw(STANDARD, got) - tensor_of(Element.unit(STANDARD), x)
+        return _verdict(diff)
     if axiom == "counit-right":
         # (1 (x) eps) delta = x (x) 1
         t = coproduct(x)
-        got = TensorElement()
+        got = {}
         for (a, b), c in t._terms.items():
             if not (b.l_block or b.w_block):
-                got = got + _raw_tensor({(a, UNIT_WORD): c})
-        want = tensor_of(x, Element.unit(STANDARD))
-        diff = got - want
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+                _add_term(got, (a, UNIT_WORD), c)
+        diff = TensorElement._raw(STANDARD, got) - tensor_of(x, Element.unit(STANDARD))
+        return _verdict(diff)
     if axiom == "antipode-left":
         # m (S (x) 1) delta = eps * unit
         t = coproduct(x)
-        got = Element.zero(STANDARD)
+        got = {}
         for (a, b), c in t._terms.items():
-            got = got + multiply(_word_antipode(a), element_from(b)).scaled(c)
-        want = Element.unit(STANDARD).scaled(counit(x))
-        diff = got - want
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+            _add_scaled(got, multiply(_word_antipode(a), element_from(b))._terms, c)
+        diff = Element._raw(STANDARD, got) - Element.unit(STANDARD).scaled(counit(x))
+        return _verdict(diff)
     if axiom == "antipode-right":
         # m (1 (x) S) delta = eps * unit
         t = coproduct(x)
-        got = Element.zero(STANDARD)
+        got = {}
         for (a, b), c in t._terms.items():
-            got = got + multiply(element_from(a), _word_antipode(b)).scaled(c)
-        want = Element.unit(STANDARD).scaled(counit(x))
-        diff = got - want
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+            _add_scaled(got, multiply(element_from(a), _word_antipode(b))._terms, c)
+        diff = Element._raw(STANDARD, got) - Element.unit(STANDARD).scaled(counit(x))
+        return _verdict(diff)
     if axiom == "s-squared":
         diff = antipode(antipode(x)) - x
-        return diff.is_zero(), (None if diff.is_zero() else diff)
+        return _verdict(diff)
     if axiom == "cocommutativity-witness":
         t = coproduct(x)
         diff = flip(t) - t
@@ -520,24 +414,6 @@ def check_axiom(axiom: str, arg=None) -> tuple:
 
 
 def tensor_text(t: TensorElement) -> str:
-    items = t.terms()
-    if not items:
-        return "0"
-    chunks = []
-    for (a, b), c in items:
-        body_w = f"({a.text() or '1'}) (x) ({b.text() or '1'})"
-        neg = False
-        if c.term_count == 1:
-            mag = c
-            ((_, _), cv), = c.items()
-            if cv < 0:
-                neg = True
-                mag = -c
-            body = body_w if mag.is_one() else f"{mag} * {body_w}"
-        else:
-            body = f"({c}) * {body_w}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    """Canonical text: `coeff * (a) (x) (b)` terms joined by signs, the
+    unit word written 1."""
+    return t._render()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -428,7 +427,3 @@ def q_identity_check(m: int, n: int) -> bool:
     first = LaurentPoly.q_power(n) * qm - LaurentPoly.q_power(m) * qn == q_int(m - n)
     second = LaurentPoly.q_power(-n) * qm + LaurentPoly.q_power(m) * qn == q_int(m + n)
     return first and second
-
-
-def lp_eval(a: LaurentPoly, q_val, p_val=None) -> Fraction:
-    return a.eval(q_val, p_val)

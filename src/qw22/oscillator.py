@@ -20,18 +20,18 @@ module action: only the T-free subalgebra is represented.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
-from . import algebra
 from .algebra import (
     INDEX_CAP,
+    Combination,
     DeformationProfile,
     Element,
     GeneratorSymbol,
-    NormalWord,
     Word,
+    _add_scaled,
     normalize,
 )
 from .errors import ArithmeticBoundError, ProfileError
@@ -83,98 +83,20 @@ def ladder_weight(profile: OscillatorProfile, k: int) -> LaurentPoly:
     return LaurentPoly.p_power(-k) * q_int(k, 2)
 
 
-class ModuleVector:
+class ModuleVector(Combination):
     """Finite linear combination of basis vectors with exact coefficients."""
 
-    __slots__ = ("profile", "_terms")
+    __slots__ = ()
+    _sort_key = staticmethod(itemgetter(0))
+    _key_text = staticmethod(lambda label: f"|{label[0]},{label[1]}>")
 
     def __init__(self, profile: OscillatorProfile, terms: dict | None = None):
-        clean = {}
-        nv = profile.nvars
-        if terms:
-            for label, c in terms.items():
-                if c.nvars != nv:
-                    raise ProfileError("coefficient profile does not match module profile")
-                if c:
-                    _check_grade(label.k)
-                    clean[label] = c
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
-
-    def terms(self) -> tuple:
-        return tuple(sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        if self.profile is not other.profile:
-            raise ProfileError("mixed oscillator profiles")
-        out = dict(self._terms)
-        for label, c in other._terms.items():
-            v = out.get(label)
-            v = c if v is None else v + c
-            if v:
-                out[label] = v
-            else:
-                out.pop(label, None)
-        return _raw_vector(self.profile, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return _raw_vector(self.profile, {l: -c for l, c in self._terms.items()})
-
-    def scaled(self, factor) -> "ModuleVector":
-        if isinstance(factor, int):
-            factor = LaurentPoly.constant(factor, self.profile.nvars)
-        out = {}
-        for label, c in self._terms.items():
-            v = c * factor
-            if v:
-                out[label] = v
-        return _raw_vector(self.profile, out)
-
-    def __eq__(self, other):
-        if isinstance(other, ModuleVector):
-            return self.profile is other.profile and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, frozenset(self._terms.items())))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for (k, eps), c in self.terms():
-            ket = f"|{k},{eps}>"
-            neg = False
-            if c.term_count == 1:
-                mag = c
-                ((_, _), cv), = c.items()
-                if cv < 0:
-                    neg = True
-                    mag = -c
-                body = ket if mag.is_one() else f"{mag} * {ket}"
-            else:
-                body = f"({c}) * {ket}"
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
-
-    def __repr__(self):
-        return f"<ModuleVector {self}>"
+        for label, c in (terms or {}).items():
+            if c.nvars != profile.nvars:
+                raise ProfileError("coefficient profile does not match module profile")
+            if c:
+                _check_grade(label.k)
+        super().__init__(profile, terms)
 
     def at_q_one(self) -> dict:
         """Coefficients evaluated at q = 1, zero values dropped."""
@@ -186,55 +108,40 @@ class ModuleVector:
         return out
 
 
-def _raw_vector(profile, terms: dict) -> ModuleVector:
-    v = ModuleVector.__new__(ModuleVector)
-    object.__setattr__(v, "profile", profile)
-    object.__setattr__(v, "_terms", terms)
-    return v
-
-
 def basis_vector(profile: OscillatorProfile, k: int, eps: int) -> ModuleVector:
     if eps not in (0, 1):
         raise ValueError("occupancy must be 0 or 1")
     _check_grade(k)
-    return _raw_vector(profile, {FockLabel(k, eps): LaurentPoly.one(profile.nvars)})
+    return ModuleVector._raw(profile, {FockLabel(k, eps): LaurentPoly.one(profile.nvars)})
 
 
 # -- operator actions -----------------------------------------------------
 
 
 def apply_ladder(op: str, v: ModuleVector) -> ModuleVector:
-    """Apply one of the four ladder operators: a, a_dag, b, b_dag."""
+    """Apply one of the four ladder operators: a, a_dag, b, b_dag.  Each
+    maps distinct basis vectors to distinct ones, so no terms collect."""
     profile = v.profile
-    out: dict = {}
-
-    def add(label, c):
-        prev = out.get(label)
-        c = c if prev is None else prev + c
-        if c:
-            out[label] = c
-        else:
-            out.pop(label, None)
-
+    out = {}
     if op == "a_dag":
         for (k, eps), c in v._terms.items():
-            add(FockLabel(_check_grade(k + 1), eps), c)
+            out[FockLabel(_check_grade(k + 1), eps)] = c
     elif op == "a":
         for (k, eps), c in v._terms.items():
             w = ladder_weight(profile, k)
             if w:
-                add(FockLabel(_check_grade(k - 1), eps), c * w)
+                out[FockLabel(_check_grade(k - 1), eps)] = c * w
     elif op == "b":
         for (k, eps), c in v._terms.items():
             if eps == 1:
-                add(FockLabel(k, 0), c)
+                out[FockLabel(k, 0)] = c
     elif op == "b_dag":
         for (k, eps), c in v._terms.items():
             if eps == 0:
-                add(FockLabel(k, 1), c)
+                out[FockLabel(k, 1)] = c
     else:
         raise ValueError(f"unknown ladder operator {op!r}")
-    return _raw_vector(profile, out)
+    return ModuleVector._raw(profile, out)
 
 
 def shift(n: int, v: ModuleVector) -> ModuleVector:
@@ -243,44 +150,24 @@ def shift(n: int, v: ModuleVector) -> ModuleVector:
     out = {}
     for (k, eps), c in v._terms.items():
         out[FockLabel(_check_grade(k + n), eps)] = c
-    return _raw_vector(v.profile, out)
+    return ModuleVector._raw(v.profile, out)
 
 
 def apply_generator(sym: GeneratorSymbol, v: ModuleVector) -> ModuleVector:
-    """Module action of one algebra generator (T-free subalgebra only)."""
+    """Module action of one algebra generator (T-free subalgebra only).
+    The grade shift k -> k + n is injective, so no terms collect."""
     profile = v.profile
-    kind = sym.kind
-    if kind == "L":
-        n = sym.index
-        out: dict = {}
-        for (k, eps), c in v._terms.items():
-            w = ladder_weight(profile, k)
-            if not w:
-                continue
-            label = FockLabel(_check_grade(k + n), eps)
-            prev = out.get(label)
-            c = c * w if prev is None else prev + c * w
-            if c:
-                out[label] = c
-            else:
-                out.pop(label, None)
-        return _raw_vector(profile, out)
-    if kind == "W":
-        n = sym.index
-        out = {}
-        for (k, eps), c in v._terms.items():
-            if eps:
-                continue
-            w = ladder_weight(profile, k)
-            if not w:
-                continue
-            label = FockLabel(_check_grade(k + n), 1)
-            prev = out.get(label)
-            c = c * w if prev is None else prev + c * w
-            if c:
-                out[label] = c
-        return _raw_vector(profile, out)
-    raise ProfileError("T has no module action; only the T-free subalgebra is represented")
+    kind, n = sym
+    if kind not in ("L", "W"):
+        raise ProfileError("T has no module action; only the T-free subalgebra is represented")
+    out = {}
+    for (k, eps), c in v._terms.items():
+        if kind == "W" and eps:
+            continue
+        w = ladder_weight(profile, k)
+        if w:
+            out[FockLabel(_check_grade(k + n), 1 if kind == "W" else eps)] = c * w
+    return ModuleVector._raw(profile, out)
 
 
 def apply_word(word: Word, v: ModuleVector) -> ModuleVector:
@@ -294,19 +181,20 @@ def apply_word(word: Word, v: ModuleVector) -> ModuleVector:
 
 def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
     """Act with a normally ordered Element on a module vector."""
-    expected = _REWRITE_FOR.get(v.profile)
-    if expected is None or x.profile is not expected:
+    if v.profile is CLASSICAL:
         raise ProfileError(
-            f"profile {v.profile.value} represents the {expected.value if expected else '?'} algebra"
+            "the classical profile has no rewrite profile of its own; "
+            "oracle_consistency compares it at q = 1"
         )
-    total = _raw_vector(v.profile, {})
+    expected = _REWRITE_FOR[v.profile]
+    if x.profile is not expected:
+        raise ProfileError(f"profile {v.profile.value} represents the {expected.value} algebra")
+    out: dict = {}
     for nw, c in x._terms.items():
         if nw.t_exp:
             raise ProfileError("T has no module action; only the T-free subalgebra is represented")
-        vec = apply_word(nw.generator_sequence(), v)
-        if not vec.is_zero():
-            total = total + vec.scaled(c)
-    return total
+        _add_scaled(out, apply_word(nw.generator_sequence(), v)._terms, c)
+    return ModuleVector._raw(v.profile, out)
 
 
 # -- relation checks ------------------------------------------------------
@@ -424,12 +312,10 @@ def _relation_sides(rel, profile: OscillatorProfile):
 
 
 def _eval_side(side, v: ModuleVector) -> ModuleVector:
-    total = _raw_vector(v.profile, {})
+    out: dict = {}
     for scalar, ops in side:
-        vec = _op_chain(ops)(v)
-        if not vec.is_zero():
-            total = total + vec.scaled(scalar)
-    return total
+        _add_scaled(out, _op_chain(ops)(v)._terms, scalar)
+    return ModuleVector._raw(v.profile, out)
 
 
 def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:

@@ -14,12 +14,15 @@ from qw22 import (
     L,
     LaurentPoly,
     NormalWord,
+    OscillatorProfile,
     ProfileError,
     T,
     T_INV,
     UNIT_WORD,
     W,
+    basis_vector,
     classical_limit,
+    coproduct,
     element_from,
     element_text,
     evaluate,
@@ -29,6 +32,7 @@ from qw22 import (
     q_bracket,
     q_int,
     substitute_p_inverse,
+    tensor_of,
 )
 from fractions import Fraction
 
@@ -380,6 +384,39 @@ def test_element_text_conventions():
         == "-q^-1 * W[1] + L[1]"
     )
     assert element_text(element_from(NormalWord(-2, (), ((0, 3),)))) == "T^-2 W[0]^3"
+
+
+def _pairs_of_each_type():
+    """Two values x, y of each sparse linear-combination type, with a term
+    in common so that sums collect and cancel."""
+    x = normalize((L(2), L(1)))
+    y = (
+        element_from(L(1)).scaled(q_int(2))
+        + element_from(NormalWord(0, ((1, 1), (2, 1)), ()))
+        + element_from(3)
+    )
+    yield "Element", x, y
+    yield "TensorElement", coproduct(x), coproduct(y) - tensor_of(x, y)
+    q = OscillatorProfile.Q_DEFORMED
+    u = basis_vector(q, 2, 0).scaled(q_int(2)) - basis_vector(q, -1, 1)
+    yield "ModuleVector", u, basis_vector(q, 2, 0).scaled(-qp(1)) + basis_vector(q, 4, 0)
+    yield "NumericElement", evaluate(x, Fraction(2, 3)), evaluate(y, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "name, x, y", [pytest.param(*case, id=case[0]) for case in _pairs_of_each_type()]
+)
+def test_linear_combinations_share_one_arithmetic(name, x, y):
+    assert type(x).__name__ == name
+    again = (x + y) - y
+    assert again == x and hash(again) == hash(x)
+    assert x + y == y + x
+    assert (x + (-x)).is_zero()
+    assert x.scaled(0).is_zero()
+    assert x - x == x.scaled(0)
+    assert not x.is_zero() and x != x + y
+    with pytest.raises(AttributeError):
+        x._terms = {}
 
 
 @settings(deadline=None, max_examples=80)

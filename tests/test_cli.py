@@ -58,6 +58,11 @@ def test_coproduct_and_antipode():
     assert run(["coproduct", "L[1]"])[1] == "(L[1]) (x) (T) + (T) (x) (L[1])\n"
     assert run(["antipode", "W[2]"])[1] == "-q^-12 * T^-4 W[2]\n"
     assert run(["antipode", "T^8000"]) == (0, "T^-8000\n", "")
+    assert run(["antipode", "L[1000000]"]) == (
+        0,
+        "-q^-2000002000000 * T^-2000000 L[1000000]\n",
+        "",
+    )
 
 
 def test_normalize_long_word():

@@ -139,6 +139,10 @@ def test_tensor_element_is_linear_and_immutable():
         "-(1) (x) (W[0]) - (W[0]) (x) (1)"
         " + (q + q^-1) * (L[1]) (x) (T) + (q + q^-1) * (T) (x) (L[1])"
     )
+    # keys of any length: the coassociativity diagram uses three slots
+    slots = (NormalWord(), NormalWord(1, (), ()), NormalWord(0, ((1, 1),), ()))
+    triple = TensorElement({slots: -LaurentPoly.one()})
+    assert str(triple) == "-(1) (x) (T) (x) (L[1])"
     minus_one = {"terms": [{"eq": 0, "c": "-1"}]}
     q_two = {"terms": [{"eq": 1, "c": "1"}, {"eq": -1, "c": "1"}]}
     unit = {"t": 0, "l": [], "w": []}

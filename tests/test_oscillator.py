@@ -113,6 +113,10 @@ def test_profile_mismatch_raises():
     w = basis_vector(Q, 1, 0)
     with pytest.raises(ProfileError):
         v + w
+    with pytest.raises(ProfileError, match="classical profile has no rewrite profile"):
+        apply_element(element_from(L(1)), v)
+    with pytest.raises(ProfileError, match="q-deformed represents the standard-q algebra"):
+        apply_element(element_from(L(1), DeformationProfile.GENERALIZED), w)
 
 
 # -- operator relations ---------------------------------------------------------
