@@ -16,6 +16,7 @@ generalized two-parameter profile has no Hopf layer and is rejected.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from math import comb
 
 from .algebra import (
@@ -119,13 +120,20 @@ def _t_word(d: int) -> Word:
     return tuple([T if d > 0 else T_INV] * abs(d))
 
 
+def _t_power(d: int) -> Element:
+    return element_from(NormalWord(t_exp=d))
+
+
+def _t_coproduct(d: int) -> TensorElement:
+    tw = NormalWord(t_exp=d)
+    return TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
+
+
 @lru_cache(maxsize=512)
 def _gen_coproduct(sym: GeneratorSymbol) -> TensorElement:
     kind, n = sym
     if kind in ("T", "Tinv"):
-        d = 1 if kind == "T" else -1
-        tw = NormalWord(t_exp=d)
-        return TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
+        return _t_coproduct(1 if kind == "T" else -1)
     gen = NormalWord(l_block=((n, 1),)) if kind == "L" else NormalWord(w_block=((n, 1),))
     tn = NormalWord(t_exp=n)
     one = LaurentPoly.one()
@@ -136,27 +144,39 @@ def _gen_coproduct(sym: GeneratorSymbol) -> TensorElement:
 def _gen_antipode(sym: GeneratorSymbol) -> Element:
     kind, n = sym
     if kind == "T":
-        return element_from(NormalWord(t_exp=-1))
+        return _t_power(-1)
     if kind == "Tinv":
-        return element_from(NormalWord(t_exp=1))
+        return _t_power(1)
     # The T-powers cross X[n] in closed form, so |n| costs nothing extra.
-    t = element_from(NormalWord(t_exp=-n))
+    t = _t_power(-n)
     return -multiply(multiply(t, element_from(sym)), t)
 
 
+def _factor_images(word, gen_image, t_image):
+    """Images of a free word's factors, left to right: one per ladder symbol
+    and one, t_image(d), per maximal run of T and T^-1 with net power d."""
+    for is_t, run in groupby(word, key=lambda sym: sym.kind in ("T", "Tinv")):
+        if is_t:
+            yield t_image(sum(1 if sym.kind == "T" else -1 for sym in run))
+        else:
+            yield from map(gen_image, run)
+
+
 def map_word_coproduct(word: Word) -> TensorElement:
-    """delta on a free word: the product of the generator images."""
+    """delta on a free word: the product of the generator images, a T-run
+    mapping to T^d (x) T^d in one step."""
     out = TensorElement.unit()
-    for sym in word:
-        out = tensor_multiply(out, _gen_coproduct(sym))
+    for image in _factor_images(word, _gen_coproduct, _t_coproduct):
+        out = tensor_multiply(out, image)
     return out
 
 
 def map_word_antipode(word: Word) -> Element:
-    """S on a free word: images of the symbols multiplied in reverse."""
+    """S on a free word: images of the symbols multiplied in reverse, a
+    T-run mapping to T^-d in one step."""
     out = Element.unit(STANDARD)
-    for sym in reversed(word):
-        out = multiply(out, _gen_antipode(sym))
+    for image in _factor_images(reversed(word), _gen_antipode, lambda d: _t_power(-d)):
+        out = multiply(out, image)
     return out
 
 
@@ -194,7 +214,7 @@ def _word_antipode(nw: NormalWord) -> Element:
             for _ in range(k):
                 out = multiply(out, image)
     if nw.t_exp:
-        out = multiply(out, element_from(NormalWord(t_exp=-nw.t_exp)))
+        out = multiply(out, _t_power(-nw.t_exp))
     return out
 
 
@@ -233,16 +253,17 @@ def power_closed_form(map_name: str, gen_kind: str, n: int, r: int):
         raise ValueError("gen_kind must be 'L' or 'W'")
     if r < 0:
         raise ValueError("power must be nonnegative")
-    sym = GeneratorSymbol(gen_kind, n)
+    power = lambda k: normalize((GeneratorSymbol(gen_kind, n),) * k, STANDARD)
     if map_name == "delta":
         total = TensorElement()
         for i in range(r + 1):
-            left = normalize((sym,) * (r - i) + _t_word(i * n), STANDARD)
-            right = normalize(_t_word((r - i) * n) + (sym,) * i, STANDARD)
+            left = multiply(power(r - i), _t_power(i * n))
+            right = multiply(_t_power((r - i) * n), power(i))
             total = total + tensor_of(left, right).scaled(comb(r, i))
         return total
     if map_name == "antipode":
-        body = normalize(_t_word(-r * n) + (sym,) * r + _t_word(-r * n), STANDARD)
+        t = _t_power(-r * n)
+        body = multiply(multiply(t, power(r)), t)
         return body if r % 2 == 0 else -body
     raise ValueError("map_name must be 'delta' or 'antipode'")
 

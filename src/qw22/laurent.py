@@ -10,12 +10,21 @@ exponent formulas cannot silently run away.
 
 Operands of different variable profiles never mix; that is a ProfileError,
 not a coercion.
+
+A product takes one of three paths.  A monomial operand shifts the other
+operand's keys.  Larger products (more than _SMALL_PRODUCT coefficient
+pairs) pack each operand into a dense int64 vector and convolve it with
+numpy; the packing runs along e_q, or along the total degree e_q + e_p when
+that span is smaller, as it is for homogeneous two-variable operands.
+Everything else, and any product that fails the convolution's span or
+int64 guards, is the plain loop over coefficient pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -64,42 +73,41 @@ def _mul_terms_small(a: dict, b: dict) -> dict:
 def _mul_terms_conv(a: dict, b: dict):
     """Exact product via int64 convolution, or None if the guards fail.
 
-    Exponent pairs are packed into one lane index; the shared stride is the
-    combined q-span, so lane sums never carry into the p part.
+    Each exponent pair is packed into one lane index (low part + high part
+    * stride), the stride being the combined span of the low part, so lane
+    sums never carry into the high part.  The low part is e_q, or the total
+    degree e_q + e_p when its span is smaller: homogeneous operands such as
+    the two-parameter ladder weights then pack into one lane per e_p.
     """
-    ka = list(a)
-    kb = list(b)
-    minqa = min(e for e, _ in ka)
-    maxqa = max(e for e, _ in ka)
-    minpa = min(e for _, e in ka)
-    maxpa = max(e for _, e in ka)
-    minqb = min(e for e, _ in kb)
-    maxqb = max(e for e, _ in kb)
-    minpb = min(e for _, e in kb)
-    maxpb = max(e for _, e in kb)
-    sq = (maxqa - minqa) + (maxqb - minqb) + 1
-    sp = (maxpa - minpa) + (maxpb - minpb) + 1
-    if sq * sp > _MAX_DENSE_SPAN:
+    qa, pa = zip(*a)
+    qb, pb = zip(*b)
+    sa = list(map(add, qa, pa))
+    sb = list(map(add, qb, pb))
+    sp = (max(pa) - min(pa)) + (max(pb) - min(pb)) + 1
+    sq = (max(qa) - min(qa)) + (max(qb) - min(qb)) + 1
+    ss = (max(sa) - min(sa)) + (max(sb) - min(sb)) + 1
+    total_degree = ss < sq
+    lowa, lowb, stride = (sa, sb, ss) if total_degree else (qa, qb, sq)
+    if stride * sp > _MAX_DENSE_SPAN:
         return None
-    ma = max(abs(c) for c in a.values())
-    mb = max(abs(c) for c in b.values())
+    ma = max(map(abs, a.values()))
+    mb = max(map(abs, b.values()))
     if min(len(a), len(b)) * ma * mb >= _INT64_SAFE:
         return None
 
-    la = (maxqa - minqa) + (maxpa - minpa) * sq + 1
-    lb = (maxqb - minqb) + (maxpb - minpb) * sq + 1
-    va = np.zeros(la, dtype=np.int64)
-    vb = np.zeros(lb, dtype=np.int64)
-    for (eq, ep), c in a.items():
-        va[(eq - minqa) + (ep - minpa) * sq] = c
-    for (eq, ep), c in b.items():
-        vb[(eq - minqb) + (ep - minpb) * sq] = c
+    minla, minlb, minpa, minpb = min(lowa), min(lowb), min(pa), min(pb)
+    va = np.zeros((max(lowa) - minla) + (max(pa) - minpa) * stride + 1, dtype=np.int64)
+    vb = np.zeros((max(lowb) - minlb) + (max(pb) - minpb) * stride + 1, dtype=np.int64)
+    va[[(e - minla) + (f - minpa) * stride for e, f in zip(lowa, pa)]] = list(a.values())
+    vb[[(e - minlb) + (f - minpb) * stride for e, f in zip(lowb, pb)]] = list(b.values())
     conv = np.convolve(va, vb)
-    minq = minqa + minqb
+    lanes = np.flatnonzero(conv)
+    minl = minla + minlb
     minp = minpa + minpb
     out = {}
-    for i in np.flatnonzero(conv).tolist():
-        out[(minq + i % sq, minp + i // sq)] = int(conv[i])
+    for i, c in zip(lanes.tolist(), conv[lanes].tolist()):
+        low, ep = minl + i % stride, minp + i // stride
+        out[(low - ep if total_degree else low, ep)] = c
     return out
 
 
@@ -108,17 +116,21 @@ def _mul_terms(a: dict, b: dict) -> dict:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) * len(b) > _SMALL_PRODUCT:
-        out = _mul_terms_conv(a, b)
-        if out is not None:
-            for eq, ep in out:
-                _check_exponent(eq)
-                _check_exponent(ep)
-            return out
-    out = _mul_terms_small(a, b)
+    if len(a) == 1:
+        # A monomial shifts the other operand's keys: no term collects.
+        ((qa, pa), ca), = a.items()
+        out = {(qa + qb, pa + pb): ca * cb for (qb, pb), cb in b.items()}
+    else:
+        out = None
+        if len(a) * len(b) > _SMALL_PRODUCT:
+            out = _mul_terms_conv(a, b)
+        if out is None:
+            out = _mul_terms_small(a, b)
+    bound = EXPONENT_BOUND
     for eq, ep in out:
-        _check_exponent(eq)
-        _check_exponent(ep)
+        if not (-bound <= eq <= bound and -bound <= ep <= bound):
+            _check_exponent(eq)
+            _check_exponent(ep)
     return out
 
 
@@ -316,6 +328,8 @@ class LaurentPoly:
                 raise EvaluationDomainError("p = 0 is outside the Laurent domain")
         elif p_val is not None:
             raise ProfileError("one-variable polynomial takes no p value")
+        if q_val == 1 and (p_val is None or p_val == 1):
+            return Fraction(sum(self._terms.values()))
         total = Fraction(0)
         for (eq, ep), c in self._terms.items():
             v = c * q_val**eq

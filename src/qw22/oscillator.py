@@ -32,6 +32,7 @@ from .algebra import (
     GeneratorSymbol,
     Word,
     _add_scaled,
+    _add_term,
     normalize,
 )
 from .errors import ArithmeticBoundError, ProfileError
@@ -170,13 +171,54 @@ def apply_generator(sym: GeneratorSymbol, v: ModuleVector) -> ModuleVector:
     return ModuleVector._raw(profile, out)
 
 
+def _follow(letters, terms: dict) -> list:
+    """Follow each basis label of `terms` through `letters`, (kind, index)
+    pairs in acting order, in integers.
+
+    A step checks what `apply_generator` checks, at the same letter and in
+    the same term order: a T letter raises ProfileError, a grade leaving the
+    cap raises ArithmeticBoundError, and only while some path survives.  A
+    path dies where lambda_k = 0 (k = 0 in every profile) or where a W meets
+    an occupied vector.  Returns (k, eps, coeff, grades) for each surviving
+    path: its target label, its input coefficient and the grades whose
+    weights it picks up, in acting order.
+    """
+    paths = [(k, eps, c, []) for (k, eps), c in terms.items()]
+    for kind, n in letters:
+        if not paths:
+            break
+        if kind not in ("L", "W"):
+            raise ProfileError("T has no module action; only the T-free subalgebra is represented")
+        alive = []
+        for k, eps, c, grades in paths:
+            if k and not (kind == "W" and eps):
+                grades.append(k)
+                alive.append((_check_grade(k + n), 1 if kind == "W" else eps, c, grades))
+        paths = alive
+    return paths
+
+
+def _weighted(profile: OscillatorProfile, c: LaurentPoly, grades) -> LaurentPoly:
+    for k in grades:
+        c = c * ladder_weight(profile, k)
+    return c
+
+
 def apply_word(word: Word, v: ModuleVector) -> ModuleVector:
     """Act with a free word, rightmost symbol first."""
-    for sym in reversed(word):
-        if v.is_zero():
-            break
-        v = apply_generator(sym, v)
-    return v
+    profile = v.profile
+    out = {}
+    for k, eps, c, grades in _follow(reversed(word), v._terms):
+        out[FockLabel(k, eps)] = _weighted(profile, c, grades)
+    return ModuleVector._raw(profile, out)
+
+
+def _acting_letters(nw):
+    """The letters of a T-free normal word, rightmost first."""
+    for kind, block in (("W", nw.w_block), ("L", nw.l_block)):
+        for n, mult in reversed(block):
+            for _ in range(mult):
+                yield kind, n
 
 
 def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
@@ -193,7 +235,8 @@ def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
     for nw, c in x._terms.items():
         if nw.t_exp:
             raise ProfileError("T has no module action; only the T-free subalgebra is represented")
-        _add_scaled(out, apply_word(nw.generator_sequence(), v)._terms, c)
+        for k, eps, cv, grades in _follow(_acting_letters(nw), v._terms):
+            _add_term(out, FockLabel(k, eps), _weighted(v.profile, cv, grades) * c)
     return ModuleVector._raw(v.profile, out)
 
 

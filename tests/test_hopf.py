@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qw22 import hopf
 from qw22 import (
     DeformationProfile,
     Element,
@@ -308,6 +309,26 @@ def test_preservation_holds_for_delta_eps_and_s_on_the_rest():
             for n in range(-4, 5):
                 ok, witness = check_axiom(rel, (m, n))
                 assert ok, (rel, m, n, witness)
+
+
+def test_t_runs_map_in_one_step():
+    """A run of T and T^-1 maps as one group-like factor, so a long T-power
+    in a relation costs no more than a short one, and the run's image equals
+    the product of its symbols' images."""
+    for rel in ("delta-tl", "s-tl", "s-tw"):
+        assert check_axiom(rel, (100000, 1)) == (True, None)
+    rng = random.Random(17)
+    pool = [T, T, T_INV, L(1), L(-2), W(0), W(3)]
+    for _ in range(60):
+        word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+        delta = TensorElement.unit()
+        for sym in word:
+            delta = tensor_multiply(delta, coproduct(el(sym)))
+        s = Element.unit()
+        for sym in reversed(word):
+            s = multiply(s, antipode(el(sym)))
+        assert hopf.map_word_coproduct(word) == delta, word
+        assert hopf.map_word_antipode(word) == s, word
 
 
 def test_unknown_axiom_id():

@@ -1,11 +1,15 @@
 """Exact coefficient arithmetic in Z[q, q^-1] and Z[q^-+1, p^-+1]."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qw22 import laurent
 from qw22 import (
     ArithmeticBoundError,
     EvaluationDomainError,
@@ -178,23 +182,38 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def distributed_product(a, b):
-    """a * b computed one monomial at a time, always on the dict path."""
-    total = LaurentPoly.zero(a.nvars)
-    for (eq, ep), c in a.items():
-        total = total + LaurentPoly.monomial(c, eq, ep, nvars=a.nvars) * b
-    return total
+def pair_loop_product(a, b):
+    """a * b summed over every pair of terms, with no fast path."""
+    out = {}
+    for (qa, pa), ca in a.items():
+        for (qb, pb), cb in b.items():
+            key = (qa + qb, pa + pb)
+            out[key] = out.get(key, 0) + ca * cb
+    return LaurentPoly(out, a.nvars)
+
+
+@contextmanager
+def packed_lengths():
+    """Record the lengths of the two packed vectors of every convolution."""
+    seen = []
+    real = np.convolve
+
+    def spy(va, vb):
+        seen.append((len(va), len(vb)))
+        return real(va, vb)
+
+    with mock.patch.object(laurent.np, "convolve", spy):
+        yield seen
 
 
 def test_dense_products_cross_check_the_fast_path():
-    # term counts above 96 pairs route through the packed convolution;
-    # the distributed sum below stays on the dict path
+    # term counts above 96 pairs route through the packed convolution
     rng = random.Random(11)
     for nvars in (1, 2):
         for _ in range(5):
             a = rand_poly(rng, nvars, span=25, terms=30)
             b = rand_poly(rng, nvars, span=25, terms=30)
-            assert a * b == distributed_product(a, b)
+            assert a * b == pair_loop_product(a, b)
 
 
 def test_huge_coefficients_stay_exact():
@@ -203,5 +222,139 @@ def test_huge_coefficients_stay_exact():
     for e in range(12):
         big = big + LaurentPoly.monomial(3**40 + e, e)
     sq = big * big
-    assert sq == distributed_product(big, big)
+    assert sq == pair_loop_product(big, big)
     assert sq.items()[0][1] == (3**40 + 11) ** 2
+
+
+nonzero = st.integers(-50, 50).filter(bool)
+
+
+def two_var(terms: dict) -> LaurentPoly:
+    return LaurentPoly(terms, 2)
+
+
+# Shaped like a product of ladder weights p^-k [k]: every term has the same
+# total degree e_q + e_p, and the q-span is wide.
+homogeneous = st.builds(
+    lambda degree, coeffs: two_var({(eq, degree - eq): c for eq, c in coeffs.items()}),
+    st.integers(-20, 20),
+    st.dictionaries(st.integers(-30, 30), nonzero, min_size=10, max_size=25),
+)
+
+# Corner terms at (0, 0) and (10, 10) make the total-degree span (20) wider
+# than the q-span (10), so the packing stays on e_q.
+non_homogeneous = st.builds(
+    lambda coeffs, corner: two_var({**coeffs, (0, 0): corner, (10, 10): corner}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)), nonzero, min_size=11, max_size=25
+    ),
+    nonzero,
+)
+
+
+def spans(a: LaurentPoly):
+    qs = [eq for (eq, _), _ in a.items()]
+    ps = [ep for (_, ep), _ in a.items()]
+    return max(qs) - min(qs), max(ps) - min(ps)
+
+
+def ordered(a, b):
+    """The operands in the order the product packs them: fewer terms first."""
+    return (b, a) if a.term_count > b.term_count else (a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(homogeneous, homogeneous)
+def test_homogeneous_products_pack_by_total_degree(a, b):
+    with packed_lengths() as seen:
+        got = a * b
+    assert got == pair_loop_product(a, b)
+    # one lane per e_p: each packed vector is as long as its p-span
+    a, b = ordered(a, b)
+    assert seen == [(spans(a)[1] + 1, spans(b)[1] + 1)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(non_homogeneous, non_homogeneous)
+def test_non_homogeneous_products_pack_by_q(a, b):
+    with packed_lengths() as seen:
+        got = a * b
+    assert got == pair_loop_product(a, b)
+    a, b = ordered(a, b)
+    stride = spans(a)[0] + spans(b)[0] + 1
+    assert seen == [
+        (spans(a)[0] + spans(a)[1] * stride + 1, spans(b)[0] + spans(b)[1] * stride + 1)
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.dictionaries(st.integers(-40, 40), st.integers(2**31, 2**40), min_size=10, max_size=20),
+    st.dictionaries(st.integers(-40000, 40000), nonzero, min_size=10, max_size=20),
+    st.booleans(),
+)
+def test_products_failing_a_guard_use_the_pair_loop(large, wide, by_size):
+    # int64 headroom: 10 pairs of coefficients of 2^31 or more can overflow a
+    # lane; dense span: terms at -40000 and 40000 need more than 2^16 lanes
+    if by_size:
+        a = b = LaurentPoly({(e, 0): c for e, c in large.items()})
+    else:
+        a = LaurentPoly({(e, 0): c for e, c in {**wide, -40000: 1, 40000: 2}.items()})
+        b = LaurentPoly({(-e, 0): c for e, c in wide.items()})
+    with packed_lengths() as seen:
+        got = a * b
+    assert seen == []
+    assert got == pair_loop_product(a, b)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40)), nonzero, min_size=1, max_size=12
+    ),
+    st.integers(0, 50),
+    st.sampled_from(["q+", "q-", "p+", "p-"]),
+)
+def test_monomial_shift_checks_the_exponent_window(terms, margin, edge):
+    # a monomial at `margin` inside one end of the window, times a polynomial
+    bound = laurent.EXPONENT_BOUND
+    e = bound - margin if edge[1] == "+" else -(bound - margin)
+    m = LaurentPoly.monomial(-3, *((e, 0) if edge[0] == "q" else (0, e)), nvars=2)
+    poly = LaurentPoly(terms, 2)
+    out = [(e + eq, ep) if edge[0] == "q" else (eq, e + ep) for eq, ep in terms]
+    if all(abs(x) <= bound for key in out for x in key):
+        assert m * poly == poly * m == pair_loop_product(m, poly)
+    else:
+        with pytest.raises(ArithmeticBoundError, match="left the checked 64-bit window"):
+            m * poly
+        with pytest.raises(ArithmeticBoundError):
+            poly * m
+
+
+def test_eval_at_one_sums_the_coefficients():
+    rng = random.Random(3)
+    for nvars in (1, 2):
+        p = 1 if nvars == 2 else None
+        for _ in range(40):
+            a = rand_poly(rng, nvars)
+            b = rand_poly(rng, nvars)
+            general = sum(
+                (c * Fraction(1) ** eq * Fraction(1) ** ep for (eq, ep), c in a.items()),
+                Fraction(0),
+            )
+            got = a.eval(1, p)
+            assert type(got) is Fraction and got == general
+            assert (a * b).eval(1, p) == got * b.eval(1, p)
+    for n in range(-12, 13):
+        assert q_int(n).eval(1) == n
+        assert q_int(n, 2).eval(1, 1) == n
+        # p = 1 alone is not the shortcut: the general path still runs
+        assert q_int(n, 2).eval(1, 2) == sum(Fraction(2) ** i for i in range(n)) - sum(
+            Fraction(2) ** (-1 - i) for i in range(-n)
+        )
+    with pytest.raises(ProfileError):
+        q_int(3, 2).eval(1)
+    with pytest.raises(ProfileError):
+        q_int(3).eval(1, 1)
+    with pytest.raises(EvaluationDomainError):
+        q_int(3, 2).eval(1, 0)

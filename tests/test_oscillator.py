@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+from qw22 import laurent
 from qw22 import (
     ArithmeticBoundError,
     DeformationProfile,
     L,
     LaurentPoly,
+    ModuleVector,
+    NormalWord,
     OscillatorProfile,
     ProfileError,
     T,
+    T_INV,
     W,
     apply_element,
     apply_generator,
@@ -26,6 +30,7 @@ from qw22 import (
     oracle_consistency,
     q_int,
 )
+from qw22.oscillator import GRADE_CAP
 
 C = OscillatorProfile.CLASSICAL
 Q = OscillatorProfile.Q_DEFORMED
@@ -222,3 +227,103 @@ def test_apply_word_matches_generator_chain():
     v = basis_vector(Q, 2, 0)
     step = apply_generator(L(1), apply_generator(L(2), v))
     assert apply_word((L(1), L(2)), v) == step
+
+
+def generator_chain(word, v):
+    """The reference action: apply_generator letter by letter, rightmost
+    first, stopping once the vector is zero."""
+    for sym in reversed(word):
+        if v.is_zero():
+            break
+        v = apply_generator(sym, v)
+    return v
+
+
+def test_actions_match_the_generator_chain():
+    rng = random.Random(23)
+    syms = [L(n) for n in range(-3, 4)] + [W(n) for n in range(-3, 4)]
+    algebras = {Q: DeformationProfile.STANDARD, P2: DeformationProfile.GENERALIZED}
+    for prof in (C, Q, P2):
+        scalars = [LaurentPoly.one(prof.nvars), -q_int(2, prof.nvars), q_int(3, prof.nvars)]
+        for _ in range(60):
+            # several grades, zero among them, in both occupancies
+            v = ModuleVector(prof)
+            for _ in range(rng.randint(1, 5)):
+                label = basis_vector(prof, rng.randint(-3, 3), rng.randint(0, 1))
+                v = v + label.scaled(rng.choice(scalars))
+            word = tuple(rng.choice(syms) for _ in range(rng.randint(0, 5)))
+            assert apply_word(word, v) == generator_chain(word, v), (prof, word)
+            if prof is C:
+                continue
+            x = element_from(word, algebras[prof]) + element_from(
+                tuple(rng.choice(syms) for _ in range(rng.randint(0, 3))), algebras[prof]
+            )
+            want = ModuleVector(prof)
+            for nw, c in x.terms():
+                want = want + generator_chain(nw.generator_sequence(), v).scaled(c)
+            assert apply_element(x, v) == want, (prof, x)
+
+
+def test_t_letter_raises_only_on_a_live_path():
+    for prof in (C, Q, P2):
+        # lambda_0 = 0, a second W and an occupied W annihilate before the T
+        assert apply_word((T, L(1)), basis_vector(prof, 0, 0)).is_zero()
+        assert apply_word((T, W(2), W(1)), basis_vector(prof, 3, 0)).is_zero()
+        assert apply_word((T_INV, W(0)), basis_vector(prof, 2, 1)).is_zero()
+        with pytest.raises(ProfileError, match="T has no module action"):
+            apply_word((T, L(1)), basis_vector(prof, 1, 0))
+        # one live path in a multi-term vector is enough
+        mixed = basis_vector(prof, 0, 0) + basis_vector(prof, 2, 1)
+        with pytest.raises(ProfileError, match="T has no module action"):
+            apply_word((T, L(1)), mixed)
+    # a normal word with a T-power raises whatever it acts on
+    with pytest.raises(ProfileError, match="T has no module action"):
+        apply_element(element_from((T, L(1))), basis_vector(Q, 0, 0))
+
+
+def test_grade_cap_raises_at_the_same_step():
+    top = GRADE_CAP
+    for prof in (C, Q, P2):
+        v = basis_vector(prof, top, 0)
+        # L[2] leaves the window although L[-3] would bring the path back
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
+            apply_word((L(-3), L(2)), v)
+        # the first letter to act decides between the grade and the T
+        with pytest.raises(ArithmeticBoundError):
+            apply_word((T, L(2)), v)
+        with pytest.raises(ProfileError):
+            apply_word((L(2), T), v)
+        # a path that vanishes first never reaches the cap
+        assert apply_word((L(2), W(1)), basis_vector(prof, top, 1)).is_zero()
+        # the first term, in the vector's order, to leave the window is named
+        two = basis_vector(prof, top - 1, 0) + basis_vector(prof, top, 0)
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 1} beyond cap"):
+            apply_word((L(2),), two)
+    for prof, alg in ((Q, DeformationProfile.STANDARD), (P2, DeformationProfile.GENERALIZED)):
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
+            apply_element(element_from(L(2), alg), basis_vector(prof, top, 0))
+
+
+def test_a_vanishing_path_makes_no_laurent_product(monkeypatch):
+    """Counted work, not time: a path through lambda_0 or a second W is
+    followed in integers and never multiplies a weight."""
+    words = {
+        Q: element_from(NormalWord(l_block=((-1, 1), (1, 1)))),
+        P2: element_from(NormalWord(w_block=((1, 1), (2, 1))), DeformationProfile.GENERALIZED),
+    }
+    vectors = {prof: basis_vector(prof, -1, 0) for prof in (C, Q, P2)}
+    products = []
+    real = laurent._mul_terms
+    monkeypatch.setattr(laurent, "_mul_terms", lambda a, b: products.append(1) or real(a, b))
+    for prof in (C, Q, P2):
+        # L[-1] takes |1,0> to grade 0, where L[3] has weight lambda_0 = 0
+        assert apply_word((L(3), L(-1)), basis_vector(prof, 1, 0)).is_zero()
+        # the second W meets an occupied vector
+        assert apply_word((W(1), L(2), W(2)), basis_vector(prof, 3, 0)).is_zero()
+    # L[-1] L[1] on |-1,0>: L[1] reaches grade 0; W[1] W[2]: two W letters
+    assert apply_element(words[Q], vectors[Q]).is_zero()
+    assert apply_element(words[P2], vectors[P2]).is_zero()
+    assert products == []
+    # the counter is live: a surviving path multiplies its weights
+    apply_word((L(1), L(2)), basis_vector(Q, 2, 0))
+    assert products
