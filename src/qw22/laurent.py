@@ -11,13 +11,18 @@ exponent formulas cannot silently run away.
 Operands of different variable profiles never mix; that is a ProfileError,
 not a coercion.
 
-A product takes one of three paths.  A monomial operand shifts the other
-operand's keys.  Larger products (more than _SMALL_PRODUCT coefficient
-pairs) pack each operand into a dense int64 vector and convolve it with
-numpy; the packing runs along e_q, or along the total degree e_q + e_p when
-that span is smaller, as it is for homogeneous two-variable operands.
-Everything else, and any product that fails the convolution's span or
-int64 guards, is the plain loop over coefficient pairs.
+A product takes one of three paths, all in Python integers:
+
+- monomial shift: a one-term operand shifts the other operand's keys;
+- Kronecker product, the dense path: above _SMALL_PRODUCT coefficient
+  pairs, each operand packs into one integer, with lanes along e_q, or
+  along the total degree e_q + e_p when that span is smaller, as it is for
+  homogeneous two-variable operands; one integer product convolves them;
+- pair loop: every other product, and any product whose lanes would pass
+  the _MAX_DENSE_SPAN cap, sums over the pairs of terms.
+
+Lanes are as wide as the coefficients need, so there is no int64 guard:
+a product of huge coefficients stays on the Kronecker path.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-
-import numpy as np
 
 from .errors import (
     ArithmeticBoundError,
@@ -40,12 +43,11 @@ from .errors import (
 EXPONENT_BOUND = 2**63 - 1
 
 # Below this many coefficient pair-products, plain dict loops beat the
-# packing overhead of the convolution fast path.
+# packing overhead of the Kronecker product.
 _SMALL_PRODUCT = 96
 
-# Guards for the numpy fast path: dense span cap and int64 headroom.
+# Lane cap of the Kronecker product: wider operands take the pair loop.
 _MAX_DENSE_SPAN = 1 << 16
-_INT64_SAFE = 1 << 62
 
 
 def _check_exponent(e: int) -> int:
@@ -70,14 +72,28 @@ def _mul_terms_small(a: dict, b: dict) -> dict:
     return out
 
 
-def _mul_terms_conv(a: dict, b: dict):
-    """Exact product via int64 convolution, or None if the guards fail.
+def _pack(lanes, coeffs, bits: int) -> int:
+    """One operand as a single integer: coefficient c in lane i adds
+    c * 2**(bits * i)."""
+    x = 0
+    for i, c in zip(lanes, coeffs):
+        x += c << (bits * i)
+    return x
+
+
+def _mul_terms_kronecker(a: dict, b: dict):
+    """Exact product by Kronecker substitution, or None past the span cap.
 
     Each exponent pair is packed into one lane index (low part + high part
     * stride), the stride being the combined span of the low part, so lane
     sums never carry into the high part.  The low part is e_q, or the total
     degree e_q + e_p when its span is smaller: homogeneous operands such as
     the two-parameter ladder weights then pack into one lane per e_p.
+
+    Each operand becomes one integer with `bits` bits per lane, and a single
+    integer product does the convolution.  No lane of the product can exceed
+    min(len a, len b) * max|a| * max|b| in size, so `bits` holds it with a
+    sign bit to spare and the lanes read back as signed digits.
     """
     qa, pa = zip(*a)
     qb, pb = zip(*b)
@@ -92,22 +108,34 @@ def _mul_terms_conv(a: dict, b: dict):
         return None
     ma = max(map(abs, a.values()))
     mb = max(map(abs, b.values()))
-    if min(len(a), len(b)) * ma * mb >= _INT64_SAFE:
-        return None
+    bits = (min(len(a), len(b)) * ma * mb).bit_length() + 1
 
     minla, minlb, minpa, minpb = min(lowa), min(lowb), min(pa), min(pb)
-    va = np.zeros((max(lowa) - minla) + (max(pa) - minpa) * stride + 1, dtype=np.int64)
-    vb = np.zeros((max(lowb) - minlb) + (max(pb) - minpb) * stride + 1, dtype=np.int64)
-    va[[(e - minla) + (f - minpa) * stride for e, f in zip(lowa, pa)]] = list(a.values())
-    vb[[(e - minlb) + (f - minpb) * stride for e, f in zip(lowb, pb)]] = list(b.values())
-    conv = np.convolve(va, vb)
-    lanes = np.flatnonzero(conv)
+    x = _pack([(e - minla) + (f - minpa) * stride for e, f in zip(lowa, pa)], a.values(), bits)
+    y = _pack([(e - minlb) + (f - minpb) * stride for e, f in zip(lowb, pb)], b.values(), bits)
+    prod = x * y
+    # The top lane carries the sign.  Masks and shifts read a negative
+    # integer correctly but more slowly, so read |prod| and flip each digit.
+    negative = prod < 0
+    if negative:
+        prod = -prod
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
     minl = minla + minlb
     minp = minpa + minpb
     out = {}
-    for i, c in zip(lanes.tolist(), conv[lanes].tolist()):
-        low, ep = minl + i % stride, minp + i // stride
-        out[(low - ep if total_degree else low, ep)] = c
+    i = 0
+    while prod:
+        c = prod & mask
+        prod >>= bits
+        if c:
+            if c >= half:
+                # A negative digit borrowed one from the lane above.
+                c -= mask + 1
+                prod += 1
+            low, ep = minl + i % stride, minp + i // stride
+            out[(low - ep if total_degree else low, ep)] = -c if negative else c
+        i += 1
     return out
 
 
@@ -123,7 +151,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
     else:
         out = None
         if len(a) * len(b) > _SMALL_PRODUCT:
-            out = _mul_terms_conv(a, b)
+            out = _mul_terms_kronecker(a, b)
         if out is None:
             out = _mul_terms_small(a, b)
     bound = EXPONENT_BOUND

@@ -129,9 +129,9 @@ def apply_ladder(op: str, v: ModuleVector) -> ModuleVector:
             out[FockLabel(_check_grade(k + 1), eps)] = c
     elif op == "a":
         for (k, eps), c in v._terms.items():
-            w = ladder_weight(profile, k)
-            if w:
-                out[FockLabel(_check_grade(k - 1), eps)] = c * w
+            if k:
+                label = FockLabel(_check_grade(k - 1), eps)
+                out[label] = c * ladder_weight(profile, k)
     elif op == "b":
         for (k, eps), c in v._terms.items():
             if eps == 1:
@@ -163,11 +163,11 @@ def apply_generator(sym: GeneratorSymbol, v: ModuleVector) -> ModuleVector:
         raise ProfileError("T has no module action; only the T-free subalgebra is represented")
     out = {}
     for (k, eps), c in v._terms.items():
-        if kind == "W" and eps:
-            continue
-        w = ladder_weight(profile, k)
-        if w:
-            out[FockLabel(_check_grade(k + n), 1 if kind == "W" else eps)] = c * w
+        # lambda_k vanishes only at k = 0; check the grade before building
+        # the weight, which at the grade cap has 2^20 terms.
+        if k and not (kind == "W" and eps):
+            label = FockLabel(_check_grade(k + n), 1 if kind == "W" else eps)
+            out[label] = c * ladder_weight(profile, k)
     return ModuleVector._raw(profile, out)
 
 

@@ -223,3 +223,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "q^-2 * L[1] L[2] - q^-1 * L[3]\n"
+
+
+def test_import_loads_no_numpy():
+    # qw22 has no runtime dependency: a fresh process that imports the
+    # package and its CLI holds no numpy module
+    code = "import sys, qw22, qw22.cli; print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

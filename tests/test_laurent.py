@@ -5,7 +5,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,16 +193,26 @@ def pair_loop_product(a, b):
 
 @contextmanager
 def packed_lengths():
-    """Record the lengths of the two packed vectors of every convolution."""
+    """Record, for every Kronecker product, the slot counts of its two packed
+    operands: the highest lane each one fills, plus one."""
     seen = []
-    real = np.convolve
+    real = laurent._pack
 
-    def spy(va, vb):
-        seen.append((len(va), len(vb)))
-        return real(va, vb)
+    def spy(lanes, coeffs, bits):
+        seen.append(max(lanes) + 1)
+        return real(lanes, coeffs, bits)
 
-    with mock.patch.object(laurent.np, "convolve", spy):
+    with mock.patch.object(laurent, "_pack", spy):
         yield seen
+    seen[:] = zip(seen[::2], seen[1::2])
+
+
+def kronecker(a, b):
+    """a * b, checked to have taken the Kronecker path."""
+    with packed_lengths() as seen:
+        got = a * b
+    assert len(seen) == 1
+    return got
 
 
 def test_dense_products_cross_check_the_fast_path():
@@ -217,11 +226,14 @@ def test_dense_products_cross_check_the_fast_path():
 
 
 def test_huge_coefficients_stay_exact():
-    # far beyond int64 after squaring: the guard must reject the fast path
+    # far beyond int64 after squaring: the lanes widen to hold the
+    # coefficients, so the product stays on the Kronecker path
     big = LaurentPoly.zero()
     for e in range(12):
         big = big + LaurentPoly.monomial(3**40 + e, e)
-    sq = big * big
+    with packed_lengths() as seen:
+        sq = big * big
+    assert seen == [(12, 12)]
     assert sq == pair_loop_product(big, big)
     assert sq.items()[0][1] == (3**40 + 11) ** 2
 
@@ -294,8 +306,9 @@ def test_non_homogeneous_products_pack_by_q(a, b):
     st.booleans(),
 )
 def test_products_failing_a_guard_use_the_pair_loop(large, wide, by_size):
-    # int64 headroom: 10 pairs of coefficients of 2^31 or more can overflow a
-    # lane; dense span: terms at -40000 and 40000 need more than 2^16 lanes
+    # dense span: terms at -40000 and 40000 need more than 2^16 lanes, so the
+    # pair loop runs.  Coefficients of 2^31 or more, which could overflow an
+    # int64 lane, fail no guard: the lanes widen and the product is packed.
     if by_size:
         a = b = LaurentPoly({(e, 0): c for e, c in large.items()})
     else:
@@ -303,8 +316,131 @@ def test_products_failing_a_guard_use_the_pair_loop(large, wide, by_size):
         b = LaurentPoly({(-e, 0): c for e, c in wide.items()})
     with packed_lengths() as seen:
         got = a * b
-    assert seen == []
+    if by_size:
+        slots = max(large) - min(large) + 1
+        assert seen == [(slots, slots)]
+    else:
+        assert seen == []
     assert got == pair_loop_product(a, b)
+
+
+# -- Kronecker products against the pair loop: signs, borrows and lane widths
+
+
+def filled(nvars, coeff):
+    """Operands with a term at every exponent of a run (one variable) or of
+    a box (two variables), coefficients drawn from `coeff`."""
+    if nvars == 1:
+        keys = st.integers(10, 30).map(lambda n: [(e - 5, 0) for e in range(n)])
+    else:
+        side = st.integers(4, 6)
+        keys = st.tuples(side, side).map(
+            lambda wh: [(e - 2, f - 3) for e in range(wh[0]) for f in range(wh[1])]
+        )
+    return keys.flatmap(
+        lambda ks: st.lists(coeff, min_size=len(ks), max_size=len(ks)).map(
+            lambda cs: LaurentPoly(dict(zip(ks, cs)), nvars)
+        )
+    )
+
+
+def top_key(a: LaurentPoly):
+    """The key in the highest lane: greatest e_p, then greatest e_q."""
+    return max(dict(a.items()), key=lambda k: (k[1], k[0]))
+
+
+profiles = st.sampled_from([1, 2])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    profiles.flatmap(
+        lambda n: st.tuples(filled(n, st.integers(-99, -1)), filled(n, st.integers(1, 99)))
+    )
+)
+def test_negative_coefficients_in_every_slot(operands):
+    # every lane of the product is negative, so is the packed product, and
+    # each lane reads back with its sign flipped
+    a, b = operands
+    got = kronecker(a, b)
+    assert got == pair_loop_product(a, b)
+    assert all(c < 0 for _, c in got.items())
+
+
+@settings(deadline=None, max_examples=40)
+@given(profiles.flatmap(lambda n: st.tuples(filled(n, nonzero), filled(n, nonzero))))
+def test_negative_top_coefficient(operands):
+    # the top lanes' coefficients have opposite signs: the product's top
+    # lane is negative, and with it the packed product
+    a, b = operands
+    ta, tb = top_key(a), top_key(b)
+    ca, cb = dict(a.items()), dict(b.items())
+    a = LaurentPoly({**ca, ta: -abs(ca[ta])}, a.nvars)
+    b = LaurentPoly({**cb, tb: abs(cb[tb])}, b.nvars)
+    got = kronecker(a, b)
+    assert got == pair_loop_product(a, b)
+    assert dict(got.items())[(ta[0] + tb[0], ta[1] + tb[1])] < 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    profiles,
+    st.integers(0, 20),
+    st.integers(0, 2),
+    st.integers(1, 2**64),
+    st.integers(1, 2**64),
+    st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+)
+def test_output_coefficients_at_the_lane_bound(nvars, wider, taller, ma, mb, signs):
+    # constant operands, the shorter inside the longer: the middle lanes
+    # reach min(len a, len b) * max|a| * max|b|, the bound the lanes are
+    # sized for
+    if nvars == 1:
+        a = LaurentPoly({(e, 0): signs[0] * ma for e in range(10)})
+        b = LaurentPoly({(e, 0): signs[1] * mb for e in range(10 + wider)})
+    else:
+        a = two_var({(e, f): signs[0] * ma for e in range(4) for f in range(4)})
+        b = two_var({(e, f): signs[1] * mb for e in range(4 + wider // 7) for f in range(4 + taller)})
+    got = kronecker(a, b)
+    assert got == pair_loop_product(a, b)
+    bound = a.term_count * ma * mb
+    extreme = max((c for _, c in got.items()), key=abs)
+    assert extreme == signs[0] * signs[1] * bound
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    profiles.flatmap(
+        lambda n: st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(-300, 300), st.integers(-3, 3) if n == 2 else st.just(0)),
+                nonzero,
+                min_size=10,
+                max_size=20,
+            ).map(lambda terms: LaurentPoly(terms, n)),
+            min_size=2,
+            max_size=2,
+        )
+    )
+)
+def test_runs_of_empty_slots(operands):
+    # 10 to 20 terms spread over 601 exponents: most lanes are empty
+    a, b = operands
+    assert kronecker(a, b) == pair_loop_product(a, b)
+
+
+huge = st.sampled_from([1, -1]).flatmap(
+    lambda sign: st.integers(-(2**20), 2**20).map(lambda d: sign * (2**200 + d))
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(profiles.flatmap(lambda n: st.tuples(filled(n, huge), filled(n, huge | nonzero))))
+def test_coefficients_near_2_to_the_200(operands):
+    # lanes of about 400 bits; the second operand mixes huge and small terms
+    a, b = operands
+    assert kronecker(a, b) == pair_loop_product(a, b)
+    assert kronecker(a, a) == pair_loop_product(a, a)
 
 
 @settings(deadline=None, max_examples=80)

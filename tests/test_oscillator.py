@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qw22 import laurent
+from qw22 import laurent, oscillator
 from qw22 import (
     ArithmeticBoundError,
     DeformationProfile,
@@ -302,6 +302,33 @@ def test_grade_cap_raises_at_the_same_step():
     for prof, alg in ((Q, DeformationProfile.STANDARD), (P2, DeformationProfile.GENERALIZED)):
         with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
             apply_element(element_from(L(2), alg), basis_vector(prof, top, 0))
+
+
+def test_single_steps_check_the_grade_before_the_weight(monkeypatch):
+    """At the cap, lambda_k has 2^20 terms: a step that leaves the window
+    must raise before it builds one."""
+    calls = []
+    real = oscillator.ladder_weight
+    monkeypatch.setattr(
+        oscillator, "ladder_weight", lambda prof, k: calls.append(k) or real(prof, k)
+    )
+    for prof in (C, Q, P2):
+        top = basis_vector(prof, GRADE_CAP, 0)
+        bottom = basis_vector(prof, -GRADE_CAP, 0)
+        with pytest.raises(ArithmeticBoundError, match=f"grade {GRADE_CAP + 1} beyond cap"):
+            apply_generator(L(1), top)
+        with pytest.raises(ArithmeticBoundError, match=f"grade {GRADE_CAP + 2} beyond cap"):
+            apply_generator(W(2), top)
+        with pytest.raises(ArithmeticBoundError, match=f"grade {-GRADE_CAP - 1} beyond cap"):
+            apply_ladder("a", bottom)
+        # lambda_0 = 0: grade 0 is skipped without building a weight
+        assert apply_generator(L(1), basis_vector(prof, 0, 0)).is_zero()
+        assert apply_ladder("a", basis_vector(prof, 0, 0)).is_zero()
+    assert calls == []
+    # the counter is live: a step inside the window builds its weight
+    apply_generator(L(1), basis_vector(Q, 2, 0))
+    apply_ladder("a", basis_vector(Q, 3, 0))
+    assert calls == [2, 3]
 
 
 def test_a_vanishing_path_makes_no_laurent_product(monkeypatch):
