@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple
@@ -406,6 +407,10 @@ def _collect_t(word: Word, profile: DeformationProfile):
     return exp, t_net, tuple(tail)
 
 
+# The factors depend on the pair alone, so each is built once; the outputs
+# are immutable.  The bound is fixed from measurement: two rounds of the
+# associator or the oracle benchmark meet fewer than 700 distinct pairs.
+@lru_cache(maxsize=1024)
 def _pair_rule(left, right, profile):
     """The defining relation for an out-of-order pair of adjacent letters.
 

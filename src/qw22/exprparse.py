@@ -31,8 +31,8 @@ from .algebra import (
     multiply,
     q_bracket,
 )
-from .errors import ParseError, UnsupportedInverseError
-from .laurent import LaurentPoly
+from .errors import ArithmeticBoundError, ParseError, UnsupportedInverseError
+from .laurent import EXPONENT_BOUND, LaurentPoly
 
 
 # -- syntax tree -------------------------------------------------------------
@@ -307,11 +307,19 @@ def _invert(x: Element) -> Element:
 
 def _power(base: Element, k: int) -> Element:
     """x^k as the left fold (...((x*x)*x)...)*x, the grouping `*` uses;
-    a single term c*T^d has the closed form c^k T^(dk)."""
+    a single term c*T^d has the closed form c^k T^(dk).
+
+    Past the 64-bit exponent window only a unit, a single term +-q^a p^b T^d,
+    goes on, and the exponent checks of q, p and T decide.  Any other base
+    would be squared or folded without end, so it raises before any
+    arithmetic.
+    """
     if k < 0:
         base = _invert(base)
         k = -k
     items = base.terms()
+    if k > EXPONENT_BOUND and not _is_unit(items):
+        raise ArithmeticBoundError(f"power {k} of a non-unit beyond the checked 64-bit window")
     if len(items) == 1 and not (items[0][0].l_block or items[0][0].w_block):
         nw, c = items[0]
         t_power = NormalWord(t_exp=nw.t_exp * k)
@@ -320,6 +328,13 @@ def _power(base: Element, k: int) -> Element:
     for _ in range(k):
         out = multiply(out, base)
     return out
+
+
+def _is_unit(items) -> bool:
+    if len(items) != 1:
+        return False
+    nw, c = items[0]
+    return not (nw.l_block or nw.w_block) and c.is_monomial() and abs(c.items()[0][1]) == 1
 
 
 def _scalar_of(el: Element, node, profile: DeformationProfile) -> LaurentPoly:

@@ -382,37 +382,79 @@ def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
     return True, None
 
 
+def _path_weights(weight, one):
+    """A per-call table of path weights: the returned function maps a grade
+    path to the product of weight(g) along it, in acting order.
+
+    The table is a trie of acting-order prefixes, {g: (product, children)},
+    filled one prefix at a time, so each new entry costs one product with a
+    single weight and every path sharing a prefix reuses it.
+    """
+    root: dict = {}
+
+    def product(grades):
+        w, node = one, root
+        for g in grades:
+            entry = node.get(g)
+            if entry is None:
+                entry = node[g] = (w * weight(g), {})
+            w, node = entry
+        return w
+
+    return product
+
+
 def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple:
     """Compare the raw word action with the action of its normal form on
     every basis vector in range.  The classical profile compares both sides
-    of the standard normal form at q = 1."""
+    of the standard normal form at q = 1.
+
+    Evaluation at q = 1 is a ring homomorphism, so the classical comparison
+    specializes each factor first: the normal form's coefficients and the
+    q-deformed weights lambda_g(1) are integers before any product.  Each
+    basis vector is followed through a word in integers, as `apply_word`
+    and `apply_element` do, with the same checks in the same order; a
+    path's weight comes from one table per call, shared by the raw word,
+    both occupancies and every normal-form term.
+    """
     word = tuple(word)
     for sym in word:
         if sym.kind not in ("L", "W"):
             raise ProfileError("oracle words must be T-free")
     lo, hi = k_range
+    letters = word[::-1]
     if profile is CLASSICAL:
         nf = normalize(word, DeformationProfile.STANDARD)
-        for k in range(lo, hi + 1):
-            for eps in (0, 1):
-                direct = apply_word(word, basis_vector(CLASSICAL, k, eps))
-                via_nf = apply_element(nf, basis_vector(Q_DEFORMED, k, eps))
-                if direct.at_q_one() != via_nf.at_q_one():
-                    return False, (
-                        f"word {word_text(word)} on |{k},{eps}>: "
-                        f"direct = {direct}, normal form at q=1 differs"
-                    )
-        return True, None
-    nf = normalize(word, _REWRITE_FOR[profile])
+        terms = [(list(_acting_letters(nw)), int(c.eval(1))) for nw, c in nf._terms.items()]
+        direct_weight = _path_weights(lambda g: ladder_weight(CLASSICAL, g).constant_value(), 1)
+        nf_weight = _path_weights(lambda g: int(ladder_weight(Q_DEFORMED, g).eval(1)), 1)
+    else:
+        nf = normalize(word, _REWRITE_FOR[profile])
+        terms = [(list(_acting_letters(nw)), c) for nw, c in nf._terms.items()]
+        direct_weight = nf_weight = _path_weights(
+            lambda g: ladder_weight(profile, g), LaurentPoly.one(profile.nvars)
+        )
     for k in range(lo, hi + 1):
         for eps in (0, 1):
             v = basis_vector(profile, k, eps)
-            direct = apply_word(word, v)
-            via_nf = apply_element(nf, v)
+            direct = {
+                FockLabel(k2, e2): direct_weight(grades)
+                for k2, e2, _, grades in _follow(letters, v._terms)
+            }
+            via_nf: dict = {}
+            for nw_letters, c in terms:
+                for k2, e2, _, grades in _follow(nw_letters, v._terms):
+                    _add_term(via_nf, FockLabel(k2, e2), nf_weight(grades) * c)
             if direct != via_nf:
+                shown = apply_word(word, v)
+                if profile is CLASSICAL:
+                    return False, (
+                        f"word {word_text(word)} on |{k},{eps}>: "
+                        f"direct = {shown}, normal form at q=1 differs"
+                    )
                 return False, (
                     f"word {word_text(word)} on |{k},{eps}>: "
-                    f"direct = {direct}, via normal form = {via_nf}"
+                    f"direct = {shown}, via normal form = {ModuleVector._raw(profile, via_nf)}"
                 )
     return True, None
 

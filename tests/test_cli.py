@@ -114,6 +114,12 @@ def test_bound_failures_exit_3():
     code, out, err = run(["normalize", "T^99999999999999999999"])
     assert (code, out) == (3, "")
     assert err == "error: T-power beyond the checked window\n"
+    for base in ("2", "(1+q)", "L[1]"):
+        code, out, err = run(["normalize", f"{base}^99999999999999999999"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: power 99999999999999999999 of a non-unit beyond the checked 64-bit window\n"
+        )
 
 
 def test_unknown_subcommand_exits_2():

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from qw22 import laurent, oscillator
+from qw22 import algebra, laurent, oscillator
 from qw22 import (
     ArithmeticBoundError,
     DeformationProfile,
+    Element,
     L,
     LaurentPoly,
     ModuleVector,
@@ -186,6 +187,136 @@ def test_oracle_random_words():
             word = tuple(rng.choice(syms) for _ in range(rng.randint(0, 4)))
             ok, witness = oracle_consistency(word, prof, (-6, 6))
             assert ok, witness
+
+
+def corrupt_normal_forms(monkeypatch, edit):
+    """Make oracle_consistency see edit(terms, profile) in place of each
+    normal form; terms is the true normal form's {normal word: coeff} in
+    canonical term order."""
+    real = oscillator.normalize
+
+    def corrupted(word, profile):
+        terms = dict(real(word, profile).terms())
+        edit(terms, profile)
+        return Element(profile, terms)
+
+    monkeypatch.setattr(oscillator, "normalize", corrupted)
+
+
+def last_term(terms):
+    return list(terms)[-1]
+
+
+def flip_sign(terms, profile):
+    nw = last_term(terms)
+    terms[nw] = -terms[nw]
+
+
+def drop_term(terms, profile):
+    del terms[last_term(terms)]
+
+
+def times_q_squared(terms, profile):
+    nw = last_term(terms)
+    terms[nw] = terms[nw] * LaurentPoly.q_power(2, profile.nvars)
+
+
+# The first disagreement of a corrupted normal form of L[2] L[1] over grades
+# 0..2: grade 0 is annihilated on both sides, so it shows at |1,0>.
+CORRUPTED_WITNESSES = {
+    (C, flip_sign): "word L[2] L[1] on |1,0>: direct = 2 * |4,0>, normal form at q=1 differs",
+    (C, drop_term): "word L[2] L[1] on |1,0>: direct = 2 * |4,0>, normal form at q=1 differs",
+    (C, times_q_squared): None,
+    (Q, flip_sign): "word L[2] L[1] on |1,0>: direct = (q^4 + q^2) * |4,0>, "
+    "via normal form = (q^4 + q^2 + 2) * |4,0>",
+    (Q, drop_term): "word L[2] L[1] on |1,0>: direct = (q^4 + q^2) * |4,0>, "
+    "via normal form = (q^4 + q^2 + 1) * |4,0>",
+    (Q, times_q_squared): "word L[2] L[1] on |1,0>: direct = (q^4 + q^2) * |4,0>, "
+    "via normal form = (q^4 + 1) * |4,0>",
+    (P2, flip_sign): "word L[2] L[1] on |1,0>: direct = (q*p^-3 + p^-2) * |4,0>, "
+    "via normal form = (q*p^-3 + p^-2 + 2*q^-1*p^-1) * |4,0>",
+    (P2, drop_term): "word L[2] L[1] on |1,0>: direct = (q*p^-3 + p^-2) * |4,0>, "
+    "via normal form = (q*p^-3 + p^-2 + q^-1*p^-1) * |4,0>",
+    (P2, times_q_squared): "word L[2] L[1] on |1,0>: direct = (q*p^-3 + p^-2) * |4,0>, "
+    "via normal form = (-q*p^-1 + q*p^-3 + p^-2 + q^-1*p^-1) * |4,0>",
+}
+
+
+@pytest.mark.parametrize(
+    "prof, edit",
+    list(CORRUPTED_WITNESSES),
+    ids=[f"{prof.value}-{edit.__name__}" for prof, edit in CORRUPTED_WITNESSES],
+)
+def test_oracle_rejects_a_corrupted_normal_form(monkeypatch, prof, edit):
+    """Negative controls: a wrong sign or a missing term is caught in every
+    profile; the classical profile compares at q = 1, so it catches exactly
+    the corruptions visible there and accepts a stray factor q^2."""
+    word = (L(2), L(1))
+    assert oracle_consistency(word, prof, (0, 2)) == (True, None)
+    corrupt_normal_forms(monkeypatch, edit)
+    witness = CORRUPTED_WITNESSES[prof, edit]
+    assert oracle_consistency(word, prof, (0, 2)) == (witness is None, witness)
+
+
+def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
+    """The first (k, eps) of the window to leave the cap raises, the raw word
+    before the normal form and the normal form's terms in their order.  The
+    words carry two W letters, so every path dies and no weight is built."""
+    top = GRADE_CAP
+    word = (W(5), W(2))  # normal form c * W[2] W[5]: W[5] acts first
+    for prof in (C, Q, P2):
+        # at k = top - 1 the raw word's W[2] leaves the window first
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 1} beyond cap"):
+            oracle_consistency(word, prof, (top - 1, top))
+        # at k = top - 3 only the normal form's W[5] leaves it
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
+            oracle_consistency(word, prof, (top - 3, top))
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 1} beyond cap"):
+            oracle_consistency(word, prof, (top - 4, top))
+    # an extra term W[1] W[9] acts as zero but leaves the window earlier
+    stray = NormalWord(w_block=((1, 1), (9, 1)))
+    corrupt_normal_forms(
+        monkeypatch, lambda terms, profile: terms.update({stray: LaurentPoly.one(profile.nvars)})
+    )
+    for prof in (C, Q, P2):
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 3} beyond cap"):
+            oracle_consistency(word, prof, (top - 6, top))
+        # the true term comes first in the normal form
+        with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
+            oracle_consistency(word, prof, (top - 3, top))
+
+
+# Laurent products of one oracle_consistency call over grades -8..8, with
+# every cache cold: the normal form, the ladder weights and the comparison.
+ORACLE_PRODUCT_CEILINGS = {
+    ("L[3] L[4] L[2] L[0] L[-5]", C): 207,
+    ("L[3] L[4] L[2] L[0] L[-5]", Q): 1368,
+    ("L[3] L[4] L[2] L[0] L[-5]", P2): 1368,
+    ("W[2] L[-3] L[5] L[1]", C): 60,
+    ("W[2] L[-3] L[5] L[1]", Q): 446,
+    ("W[2] L[-3] L[5] L[1]", P2): 446,
+}
+
+
+def test_oracle_product_counts(monkeypatch):
+    """Counted work, not time: the classical profile multiplies integers
+    after evaluating at q = 1, and a path weight is built once per call."""
+    words = {
+        "L[3] L[4] L[2] L[0] L[-5]": (L(3), L(4), L(2), L(0), L(-5)),
+        "W[2] L[-3] L[5] L[1]": (W(2), L(-3), L(5), L(1)),
+    }
+    products = []
+    real = laurent._mul_terms
+    monkeypatch.setattr(laurent, "_mul_terms", lambda a, b: products.append(1) or real(a, b))
+    counts = {}
+    for text, prof in ORACLE_PRODUCT_CEILINGS:
+        algebra._insert_cache.clear()
+        algebra._pair_rule.cache_clear()
+        ladder_weight.cache_clear()
+        products.clear()
+        assert oracle_consistency(words[text], prof, (-8, 8)) == (True, None)
+        counts[text, prof] = len(products)
+    assert all(counts[key] <= ceiling for key, ceiling in ORACLE_PRODUCT_CEILINGS.items()), counts
 
 
 def test_apply_element_is_multiplicative():

@@ -11,6 +11,7 @@ from qw22 import (
     LaurentPoly,
     ParseError,
     T,
+    UnsupportedInverseError,
     W,
     element_from,
     element_text,
@@ -93,6 +94,33 @@ def test_bounds_surface_as_arithmetic_errors():
         parse_element("q^99999999999999999999")
     with pytest.raises(ArithmeticBoundError):
         parse_element("T^99999999999999999999")
+
+
+def test_out_of_window_powers_of_non_units_raise_at_once():
+    """Past the 64-bit exponent window a non-unit base would be squared or
+    folded without end; it raises before any arithmetic.  Units keep their
+    exact value or their own exponent check."""
+    big = "99999999999999999999"
+    for base in ("2", "(-2q)", "(1+q)", "(q - q)", "L[1]", "W[0]", "(L[1] + L[2])", "(2 T)"):
+        with pytest.raises(ArithmeticBoundError, match=f"power {big} of a non-unit"):
+            parse_element(f"{base}^{big}")
+    with pytest.raises(ArithmeticBoundError, match="power"):
+        parse_element(f"(2p)^{big}", GEN)
+    # a negative power checks invertibility first, as inside the window
+    with pytest.raises(UnsupportedInverseError):
+        parse_element(f"2^-{big}")
+    with pytest.raises(UnsupportedInverseError):
+        parse_element(f"L[1]^-{big}")
+    assert parse_element(f"(-1)^{big}") == parse_element("-1")
+    assert parse_element(f"1^-{big}") == parse_element("1")
+    with pytest.raises(ArithmeticBoundError, match="left the checked 64-bit window"):
+        parse_element(f"(-q)^{big}")
+    with pytest.raises(ArithmeticBoundError, match="T-power beyond the checked window"):
+        parse_element(f"(q T)^-{big}")
+    # the edge of the window is still inside it
+    assert str(parse_element("(-1)^9223372036854775807")) == "-1"
+    with pytest.raises(ArithmeticBoundError, match="power 9223372036854775808 of a non-unit"):
+        parse_element("2^9223372036854775808")
 
 
 def test_power_is_the_left_fold():
