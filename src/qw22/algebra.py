@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from fractions import Fraction
-from itertools import groupby
 from typing import NamedTuple
 
 from .errors import ArithmeticBoundError, ProfileError
@@ -407,9 +406,23 @@ def _collect_t(word: Word, profile: DeformationProfile):
     return exp, t_net, tuple(tail)
 
 
+# Built once per gap: two rounds of the associator benchmark meet 50
+# distinct (gap, profile) pairs, two of the oracle benchmark 67.
+@lru_cache(maxsize=128)
+def _swap(d: int, profile):
+    """The swap factor of a letter X[b] moved left across letters X[a], for
+    the gap d = sum(b - a): q^(2d) in the standard profile, q^d p^-d in the
+    generalized one.  It is multiplicative in d, so one call gives the
+    factor of a whole run of crossings."""
+    if profile is STANDARD:
+        return LaurentPoly.q_power(2 * d)
+    return LaurentPoly.monomial(1, d, -d, nvars=2)
+
+
 # The factors depend on the pair alone, so each is built once; the outputs
-# are immutable.  The bound is fixed from measurement: two rounds of the
-# associator or the oracle benchmark meet fewer than 700 distinct pairs.
+# are immutable.  Only L L and W L pairs reach it from the normalizer.  The
+# bound is fixed from measurement: two rounds of the associator benchmark
+# meet about 510 distinct pairs, two of the oracle benchmark about 400.
 @lru_cache(maxsize=1024)
 def _pair_rule(left, right, profile):
     """The defining relation for an out-of-order pair of adjacent letters.
@@ -423,30 +436,47 @@ def _pair_rule(left, right, profile):
     only swaps.
     """
     (k1, a), (k2, b) = left, right
+    swap = _swap(b - a, profile)
     if profile is STANDARD:
-        swap = LaurentPoly.q_power(2 * (b - a))
         fuse = LaurentPoly.q_power(b - a) * q_int(b - a)
     else:
-        swap = LaurentPoly.monomial(1, b - a, a - b, nvars=2)
         fuse = LaurentPoly.p_power(a - b) * q_int(b - a, 2)
     if k2 != "L" or not fuse:
         return swap, None, None
     return swap, fuse, (k1, _check_index(a + b))
 
 
-# Bounded memo of nontrivial insertions, keyed by (normal tail, letter,
-# profile), oldest entry evicted first.  The size is fixed from measurement
-# on the benchmark workloads: an entry holds about 1.7 kB, and about one
-# lookup in three hits on associator products but one in nine on the
-# oscillator oracle's words, so a larger table buys the first little and
-# costs the second peak memory.
+def _place_w(tail, letter) -> tuple:
+    """Normal form of tail + (W[b],) for a normal tail, as (tail, d): W[b]
+    goes after the last letter that `_in_order` accepts before it, with
+    coefficient _swap(d), d the sum of b - a over the W[a] it crosses.
+
+    The W W relation has no fused term, so this is the leftmost reduction
+    in closed form.  Distinct tails give distinct results.
+    """
+    b = letter[1]
+    i = len(tail)
+    d = 0
+    while i and not _in_order(tail[i - 1], letter):
+        i -= 1
+        d += b - tail[i][1]
+    return tail[:i] + (letter,) + tail[i:], d
+
+
+# Bounded memo of nontrivial insertions of an L letter into an L-only tail,
+# keyed by (tail, letter, profile), oldest entry evicted first.  The size is
+# fixed from measurement on the benchmark workloads: an entry holds about
+# 1.5 kB on associator products and 0.9 kB on the oscillator oracle's words;
+# about seven lookups in ten hit on the first, four in ten on the second,
+# and an oracle round fills fewer than half of the entries.
 _INSERT_CACHE_SIZE = 512
 _insert_cache: dict = {}
 
 
 def _insert_steps(tail, letter, profile):
-    """One nontrivial insertion, as a coroutine that yields each
-    (tail, letter) sub-insertion it needs and receives its result."""
+    """One nontrivial insertion into an L-only tail, as a coroutine that
+    yields each (tail, letter) sub-insertion it needs and receives its
+    result."""
     head, last = tail[:-1], tail[-1]
     swap, fuse, fused = _pair_rule(last, letter, profile)
     one = LaurentPoly.one(profile.nvars)
@@ -467,14 +497,13 @@ def _insert_steps(tail, letter, profile):
 
 
 def _insert(tail, letter, profile) -> dict:
-    """Normal form of tail + (letter,) for a normal tail, as
+    """Normal form of tail + (L[b],) for an L-only normal tail, as
     {normal tail: coeff}; a pair already in order maps to itself with the
     shared unit coefficient.
 
-    Under the leftmost-reduction strategy this is the whole normalizer:
-    a word's normal form is the left fold of these insertions.  Nested
-    sub-insertions run on an explicit stack, so the length of a word is
-    not limited by Python's recursion limit.
+    Every sub-insertion of the leftmost reduction stays in L-only tails.
+    They run on an explicit stack, so the length of a word is not limited
+    by Python's recursion limit.
     """
     one = LaurentPoly.one(profile.nvars)
     stack = []
@@ -499,14 +528,52 @@ def _insert(tail, letter, profile) -> dict:
         tail, letter = request
 
 
+def _insert_l(tail, letter, profile) -> dict:
+    """Normal form of tail + (L[b],) for a normal tail, as {normal tail: coeff}.
+
+    L[b] crosses the W-block without changing it.  The leftmost reduction
+    first inserts L[b] into the L-block, then appends the W letters back in
+    order: each W[a] takes its swap and adds the fused term of W[a] L[b],
+    W[a+b] placed after the tail's letters before W[a].  Terms come out in
+    the order of the one-letter-at-a-time recursion.
+    """
+    j = len(tail)
+    while j and tail[j - 1][0] == "W":
+        j -= 1
+    if j == len(tail):
+        return _insert(tail, letter, profile)
+    # Build the crossed pairs' relations in the recursion's order, last W
+    # first, so an index beyond the cap is reported for the same pair.
+    rules = [_pair_rule(w, letter, profile) for w in reversed(tail[j:])][::-1]
+    b = letter[1]
+    state = _insert(tail[:j], letter, profile)
+    for i, (w, (_, fuse, fused)) in enumerate(zip(tail[j:], rules), j):
+        out: dict = {}
+        for u, c in state.items():
+            u, d = _place_w(u, w)
+            d += b - w[1]  # the swap of W[a] L[b]
+            out[u] = c * _swap(d, profile) if d else c
+        if fuse is not None:
+            u, d = _place_w(tail[:i], fused)
+            _add_term(out, u, fuse * _swap(d, profile) if d else fuse)
+        state = out
+    return state
+
+
 def _fold(state: dict, letters, profile) -> dict:
-    """Insert letters, left to right, into every tail of {normal tail: coeff}."""
+    """Insert letters, left to right, into every tail of
+    {(T-power, normal tail): coeff}."""
     one = LaurentPoly.one(profile.nvars)
     for letter in letters:
         out: dict = {}
-        for tail, c in state.items():
-            for w, d in _insert(tail, letter, profile).items():
-                _add_term(out, w, c if d is one else c * d)
+        if letter[0] == "W":
+            for (t, tail), c in state.items():
+                tail, d = _place_w(tail, letter)
+                out[t, tail] = c * _swap(d, profile) if d else c
+        else:
+            for (t, tail), c in state.items():
+                for w, d in _insert_l(tail, letter, profile).items():
+                    _add_term(out, (t, w), c if d is one else c * d)
         state = out
     return state
 
@@ -518,13 +585,20 @@ def _letters(nw: NormalWord) -> tuple:
     )
 
 
-def _normal_words(t_exp: int, state: dict) -> dict:
+def _normal_words(state: dict) -> dict:
+    """{(T-power, normal tail): coeff} as {NormalWord: coeff}."""
     out = {}
-    for seq, c in state.items():
+    for (t, tail), c in state.items():
         blocks = {"L": [], "W": []}
-        for (kind, n), run in groupby(seq):
-            blocks[kind].append((n, len(list(run))))
-        out[NormalWord(t_exp, tuple(blocks["L"]), tuple(blocks["W"]))] = c
+        i = 0
+        while i < len(tail):
+            j = i + 1
+            while j < len(tail) and tail[j] == tail[i]:
+                j += 1
+            kind, n = tail[i]
+            blocks[kind].append((n, j - i))
+            i = j
+        out[NormalWord(t, tuple(blocks["L"]), tuple(blocks["W"]))] = c
     return out
 
 
@@ -532,23 +606,34 @@ def normalize(word: Word, profile: DeformationProfile = STANDARD) -> Element:
     """Rewrite a free word of generator symbols into the normal basis."""
     exp, t_net, tail = _collect_t(tuple(word), profile)
     front = LaurentPoly.q_power(exp, profile.nvars) if exp else LaurentPoly.one(profile.nvars)
-    return Element._raw(profile, _normal_words(t_net, _fold({(): front}, tail, profile)))
+    return Element._raw(profile, _normal_words(_fold({(t_net, ()): front}, tail, profile)))
+
+
+def _times_word(terms, nw2: NormalWord, profile) -> dict:
+    """The sum of coeff * nw1 * nw2 over the (nw1, coeff) of terms, as
+    {NormalWord: coeff}.
+
+    nw2's T-power crosses each nw1's tail in closed form, q^(2 t2 sum(n+1));
+    then nw2's ladder letters are inserted into all the tails at once, so
+    tails that meet merge before the next letter.
+    """
+    state = {}
+    t2 = nw2.t_exp
+    for nw1, coeff in terms:
+        if t2:
+            shift = sum((n + 1) * k for block in (nw1.l_block, nw1.w_block) for n, k in block)
+            exp = 2 * t2 * shift
+            if abs(exp) > EXPONENT_BOUND:
+                raise ArithmeticBoundError("T-collection exponent beyond the checked window")
+            if exp:
+                coeff = coeff * LaurentPoly.q_power(exp, profile.nvars)
+        state[nw1.t_exp + t2, _letters(nw1)] = coeff
+    return _normal_words(_fold(state, _letters(nw2), profile))
 
 
 def _word_product(nw1: NormalWord, nw2: NormalWord, profile, coeff: LaurentPoly) -> dict:
-    """coeff * nw1 * nw2 as {NormalWord: coeff}.
-
-    nw2's T-power crosses nw1's tail in closed form, q^(2 t2 sum(n+1)),
-    then nw2's ladder letters are inserted into nw1's tail one by one.
-    """
-    shift = sum((n + 1) * k for block in (nw1.l_block, nw1.w_block) for n, k in block)
-    exp = 2 * nw2.t_exp * shift
-    if abs(exp) > EXPONENT_BOUND:
-        raise ArithmeticBoundError("T-collection exponent beyond the checked window")
-    if exp:
-        coeff = coeff * LaurentPoly.q_power(exp, profile.nvars)
-    state = _fold({_letters(nw1): coeff}, _letters(nw2), profile)
-    return _normal_words(nw1.t_exp + nw2.t_exp, state)
+    """coeff * nw1 * nw2 as {NormalWord: coeff}."""
+    return _times_word(((nw1, coeff),), nw2, profile)
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -556,10 +641,10 @@ def multiply(x: Element, y: Element) -> Element:
     x._require_same(y)
     profile = x.profile
     out: dict = {}
-    for nw1, c1 in x._terms.items():
-        for nw2, c2 in y._terms.items():
-            for nw, c in _word_product(nw1, nw2, profile, c1 * c2).items():
-                _add_term(out, nw, c)
+    for nw2, c2 in y._terms.items():
+        terms = ((nw1, c1 * c2) for nw1, c1 in x._terms.items())
+        for nw, c in _times_word(terms, nw2, profile).items():
+            _add_term(out, nw, c)
     return Element._raw(profile, out)
 
 

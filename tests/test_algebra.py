@@ -1,10 +1,12 @@
 """Normal ordering, the two deformation profiles, and element arithmetic."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qw22 import algebra, laurent
 from qw22 import (
     ArithmeticBoundError,
     DeformationProfile,
@@ -223,6 +225,108 @@ def test_normalize_lands_on_normal_words():
         for nw, c in normalize(word).terms():
             assert is_normal(nw.generator_sequence())
             assert not c.is_zero()
+
+
+def _reference_insert(tail, letter, profile, memo):
+    """tail + (letter,) for a normal tail by the generic one-rule recursion
+    of the leftmost reduction, built from `_pair_rule` alone:
+    head*last*letter = swap * (head*letter)*last + fuse * head*fused."""
+    key = (tail, letter)
+    if key in memo:
+        return memo[key]
+    if not tail or algebra._in_order(tail[-1], letter):
+        return {tail + (letter,): LaurentPoly.one(profile.nvars)}
+    head, last = tail[:-1], tail[-1]
+    swap, fuse, fused = algebra._pair_rule(last, letter, profile)
+    out = {}
+    for v, cv in _reference_insert(head, letter, profile, memo).items():
+        for w, d in _reference_insert(v, last, profile, memo).items():
+            _accumulate(out, w, cv * d)
+    out = {w: c * swap for w, c in out.items()}
+    if fuse is not None:
+        for w, d in _reference_insert(head, fused, profile, memo).items():
+            _accumulate(out, w, fuse * d)
+    memo[key] = out
+    return out
+
+
+def _accumulate(out, key, c):
+    if key in out:
+        c = out[key] + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def _reference_normalize(word, profile, memo) -> list:
+    """Ordered (NormalWord, coeff) terms of a T-free word, folded letter by
+    letter through `_reference_insert`."""
+    state = {(): LaurentPoly.one(profile.nvars)}
+    for sym in word:
+        out = {}
+        for tail, c in state.items():
+            for w, d in _reference_insert(tail, (sym.kind, sym.index), profile, memo).items():
+                _accumulate(out, w, c * d)
+        state = out
+    terms = []
+    for tail, c in state.items():
+        blocks = {"L": [], "W": []}
+        for (kind, n), run in itertools.groupby(tail):
+            blocks[kind].append((n, len(list(run))))
+        terms.append((NormalWord(0, tuple(blocks["L"]), tuple(blocks["W"])), c))
+    return terms
+
+
+def test_normalize_matches_the_one_rule_recursion():
+    """Same terms, same coefficients and the same term order as the generic
+    recursion: exhaustively up to four letters, and on long W-runs that the
+    closed-form W placement and the single pass through the W-block
+    shortcut."""
+    letters = [L(n) for n in range(-2, 3)] + [W(n) for n in range(-2, 3)]
+    words = [w for size in range(5) for w in itertools.product(letters, repeat=size)]
+    words += [
+        (W(1),) * 200 + (L(0),),
+        (W(4),) * 100 + (W(-3),),
+        (L(2),) + (W(3),) * 50 + (L(-1),),
+    ]
+    for profile in (S, G):
+        memo = {}
+        for word in words:
+            got = list(normalize(word, profile)._terms.items())
+            assert got == _reference_normalize(word, profile, memo), word
+
+
+# Work of (xy)z and x(yz) on the heaviest triple of an associator benchmark
+# round, every cache cold: nontrivial insertions of an L letter into an
+# L-only tail, and Laurent products.
+ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
+ASSOC_WORK_CEILINGS = {"(xy)z": (85, 2012), "x(yz)": (70, 2430)}
+
+
+def test_associator_work_counts(monkeypatch):
+    """Counted work, not time: W letters are placed in closed form, so only
+    L-block insertions reach the memoized recursion."""
+    insertions, products = [], []
+    real_steps, real_mul = algebra._insert_steps, laurent._mul_terms
+    monkeypatch.setattr(
+        algebra, "_insert_steps", lambda *a: insertions.append(1) or real_steps(*a)
+    )
+    monkeypatch.setattr(laurent, "_mul_terms", lambda a, b: products.append(1) or real_mul(a, b))
+    counts = {}
+    for grouping in ASSOC_WORK_CEILINGS:
+        algebra._insert_cache.clear()
+        algebra._pair_rule.cache_clear()
+        insertions.clear()
+        products.clear()
+        x, y, z = (element_from(w) for w in ASSOC_TRIPLE)
+        product = multiply(multiply(x, y), z) if grouping == "(xy)z" else multiply(x, multiply(y, z))
+        assert not product.is_zero()
+        counts[grouping] = (len(insertions), len(products))
+    assert all(
+        counts[g][0] <= ins and counts[g][1] <= mul
+        for g, (ins, mul) in ASSOC_WORK_CEILINGS.items()
+    ), counts
 
 
 # -- element arithmetic ------------------------------------------------------
