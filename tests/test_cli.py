@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import qw22
 from qw22.cli import main
 
 
@@ -221,12 +222,21 @@ def test_check_all_aggregates_every_suite():
     assert err.splitlines()[-1].startswith("[all] wall time:")
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qw22", "normalize", "L[2]*L[1]"],
+def _run_python(*args):
+    """A fresh interpreter that imports the qw22 package under test, whether
+    it is installed or found through pytest's `pythonpath`."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qw22.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _run_python("-m", "qw22", "normalize", "L[2]*L[1]")
     assert proc.returncode == 0
     assert proc.stdout == "q^-2 * L[1] L[2] - q^-1 * L[3]\n"
 
@@ -235,6 +245,6 @@ def test_import_loads_no_numpy():
     # qw22 has no runtime dependency: a fresh process that imports the
     # package and its CLI holds no numpy module
     code = "import sys, qw22, qw22.cli; print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
