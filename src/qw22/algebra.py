@@ -379,8 +379,8 @@ def is_normal(word: Word) -> bool:
 def _collect_t(word: Word, profile: DeformationProfile):
     """Commute every T-power to the front in one sweep.
 
-    Crossing X[n] with T^s costs q^{2(n+1)s}, so a T arriving from the
-    right of the current tail picks up the accumulated shift sum.
+    The crossing exponent is additive over letters, so a T arriving from
+    the right of the current tail picks up the tail's accumulated sum.
     Returns (q-exponent, net T-power, tail of (kind, index) pairs).
     """
     exp = 0
@@ -393,12 +393,12 @@ def _collect_t(word: Word, profile: DeformationProfile):
             if profile is GENERALIZED:
                 raise ProfileError("T symbols are not supported in the generalized profile")
             s = 1 if kind == "T" else -1
-            exp += 2 * s * shift_sum
+            exp += s * shift_sum
             t_net += s
         elif kind in ("L", "W"):
             _check_index(sym.index)
             tail.append((kind, sym.index))
-            shift_sum += sym.index + 1
+            shift_sum += _t_crossing(sym.index)
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
     if abs(exp) > EXPONENT_BOUND or abs(t_net) > EXPONENT_BOUND:
@@ -406,14 +406,30 @@ def _collect_t(word: Word, profile: DeformationProfile):
     return exp, t_net, tuple(tail)
 
 
+# -- the defining relations ---------------------------------------------------
+
+
+def _t_crossing(n: int, s: int = 1) -> int:
+    """The T-crossing relation X[n] T^s = q^e T^s X[n], as its exponent
+    e = 2(n+1)s.  It is additive over letters: a tail of letters crosses
+    T^s with the sum of their exponents."""
+    return 2 * (n + 1) * s
+
+
+def _r_power(e: int, profile):
+    """r^e for the profile's second unit: r = q^-1 (standard), r = p
+    (generalized)."""
+    return LaurentPoly.q_power(-e) if profile is STANDARD else LaurentPoly.p_power(e)
+
+
 # Built once per gap: two rounds of the associator benchmark meet 50
 # distinct (gap, profile) pairs, two of the oracle benchmark 67.
 @lru_cache(maxsize=128)
 def _swap(d: int, profile):
     """The swap factor of a letter X[b] moved left across letters X[a], for
-    the gap d = sum(b - a): q^(2d) in the standard profile, q^d p^-d in the
-    generalized one.  It is multiplicative in d, so one call gives the
-    factor of a whole run of crossings."""
+    the gap d = sum(b - a): q^d r^-d, that is q^(2d) in the standard
+    profile and q^d p^-d in the generalized one.  It is multiplicative in
+    d, so one call gives the factor of a whole run of crossings."""
     if profile is STANDARD:
         return LaurentPoly.q_power(2 * d)
     return LaurentPoly.monomial(1, d, -d, nvars=2)
@@ -425,25 +441,39 @@ def _swap(d: int, profile):
 # meet about 510 distinct pairs, two of the oracle benchmark about 400.
 @lru_cache(maxsize=1024)
 def _pair_rule(left, right, profile):
-    """The defining relation for an out-of-order pair of adjacent letters.
+    """The defining relation of two adjacent letters, the one table of
+    relations: the rewriter applies it to the pairs `_in_order` rejects,
+    and every relation check reads it through `_bracket`.
 
     Returns (swap, fuse, fused) with
     left*right = swap * right*left + fuse * fused, and fuse None when the
     relation has no fused term.  With r = q^-1 in the standard profile and
-    r = p in the generalized one, and a, b the indices of left, right:
-    swap = q^(b-a) r^(a-b) and fuse = r^(a-b) [b-a], where L[a] L[b]
-    (a > b) fuses to L[a+b] and W[a] L[b] to W[a+b].  W[a] W[b] (a > b)
+    r = p in the generalized one, [n] = (q^n - r^n)/(q - r), and a, b the
+    indices of left, right: swap = q^(b-a) r^(a-b) and fuse = r^(a-b) [b-a],
+    where L[a] L[b] fuses to L[a+b] and W[a] L[b] to W[a+b].  W[a] W[b]
     only swaps.
     """
     (k1, a), (k2, b) = left, right
     swap = _swap(b - a, profile)
-    if profile is STANDARD:
-        fuse = LaurentPoly.q_power(b - a) * q_int(b - a)
-    else:
-        fuse = LaurentPoly.p_power(a - b) * q_int(b - a, 2)
+    fuse = _r_power(a - b, profile) * q_int(b - a, profile.nvars)
     if k2 != "L" or not fuse:
         return swap, None, None
     return swap, fuse, (k1, _check_index(a + b))
+
+
+def _bracket(left: GeneratorSymbol, right: GeneratorSymbol, profile) -> tuple:
+    """The relation of `_pair_rule` in bracket form, times -r^(b-a): for
+    left = X[a], right = Y[b] and every a, b,
+
+        q^(b-a) Y[b] X[a] - r^(b-a) X[a] Y[b] = -[b-a] Z[a+b]
+
+    with Z[a+b] the fused letter and no right-hand term where there is none.
+    Returns (lhs, rhs) as lists of (scalar, word).
+    """
+    swap, fuse, fused = _pair_rule(left, right, profile)
+    r = _r_power(right[1] - left[1], profile)
+    lhs = [(r * swap, (right, left)), (-r, (left, right))]
+    return lhs, ([] if fuse is None else [(-r * fuse, (GeneratorSymbol(*fused),))])
 
 
 def _place_w(tail, letter) -> tuple:
@@ -613,16 +643,17 @@ def _times_word(terms, nw2: NormalWord, profile) -> dict:
     """The sum of coeff * nw1 * nw2 over the (nw1, coeff) of terms, as
     {NormalWord: coeff}.
 
-    nw2's T-power crosses each nw1's tail in closed form, q^(2 t2 sum(n+1));
-    then nw2's ladder letters are inserted into all the tails at once, so
-    tails that meet merge before the next letter.
+    nw2's T-power crosses each nw1's tail in closed form, the crossing
+    exponents summed over the tail; then nw2's ladder letters are inserted
+    into all the tails at once, so tails that meet merge before the next
+    letter.
     """
     state = {}
     t2 = nw2.t_exp
     for nw1, coeff in terms:
         if t2:
-            shift = sum((n + 1) * k for block in (nw1.l_block, nw1.w_block) for n, k in block)
-            exp = 2 * t2 * shift
+            blocks = (nw1.l_block, nw1.w_block)
+            exp = t2 * sum(_t_crossing(n, k) for block in blocks for n, k in block)
             if abs(exp) > EXPONENT_BOUND:
                 raise ArithmeticBoundError("T-collection exponent beyond the checked window")
             if exp:

@@ -33,13 +33,15 @@ from .algebra import (
     Word,
     _add_scaled,
     _add_term,
+    _bracket,
+    _t_crossing,
     _word_product,
     element_from,
     multiply,
     normalize,
 )
 from .errors import ProfileError
-from .laurent import LaurentPoly, q_int
+from .laurent import LaurentPoly
 
 
 def _require_standard(x: Element):
@@ -282,26 +284,21 @@ def _triple_expand(t: TensorElement, slot: int) -> TensorElement:
 
 
 # Relation ids usable in relation-preservation checks: each maps (m, n) to
-# scalar-weighted free words for the two sides of a defining relation.
+# scalar-weighted free words for the two sides of a defining relation, the
+# T-crossing T^m X[n] = q^-e X[n] T^m (tl, tw) or the bracket form of the
+# pair X[m] Y[n] with the letters named here (ll, lw, ww).
+_PAIRS = {"ll": (L, L), "lw": (W, L), "ww": (W, W)}
+
+
 def _relation_words(rel: str, m: int, n: int):
-    q = LaurentPoly.q_power
     if rel == "tl" or rel == "tw":
         sym = L(n) if rel == "tl" else W(n)
         lhs = [(LaurentPoly.one(), _t_word(m) + (sym,))]
-        rhs = [(q(-2 * (n + 1) * m), (sym,) + _t_word(m))]
+        rhs = [(LaurentPoly.q_power(-_t_crossing(n, m)), (sym,) + _t_word(m))]
         return lhs, rhs
-    if rel == "ll":
-        lhs = [(q(n - m), (L(n), L(m))), (-q(m - n), (L(m), L(n)))]
-        rhs = [(q_int(m - n), (L(m + n),))]
-        return lhs, rhs
-    if rel == "lw":
-        lhs = [(q(n - m), (L(n), W(m))), (-q(m - n), (W(m), L(n)))]
-        rhs = [(q_int(m - n), (W(m + n),))]
-        return lhs, rhs
-    if rel == "ww":
-        lhs = [(q(n - m), (W(n), W(m))), (-q(m - n), (W(m), W(n)))]
-        rhs = []
-        return lhs, rhs
+    if rel in _PAIRS:
+        make_left, make_right = _PAIRS[rel]
+        return _bracket(make_left(m), make_right(n), STANDARD)
     raise ValueError(f"unknown relation id {rel!r}")
 
 

@@ -33,6 +33,7 @@ from .algebra import (
     Word,
     _add_scaled,
     _add_term,
+    _bracket,
     normalize,
 )
 from .errors import ArithmeticBoundError, ProfileError
@@ -243,121 +244,80 @@ def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
 # -- relation checks ------------------------------------------------------
 
 
-def _op_chain(ops):
-    """ops: sequence of ("ladder", name) / ("gen", sym) / ("shift", n),
-    leftmost op acting last."""
-
-    def run(v):
-        for op in reversed(ops):
-            tag, arg = op
-            if tag == "ladder":
-                v = apply_ladder(arg, v)
-            elif tag == "gen":
-                v = apply_generator(arg, v)
-            else:
-                v = shift(arg, v)
-        return v
-
-    return run
+# Relation ids: the profile each applies to (None: every profile) and the
+# number of indices it takes.
+_RELATION_IDS = {
+    "boson": (CLASSICAL, 0), "qboson": (Q_DEFORMED, 0), "gboson": (TWO_PARAM, 0),
+    "fermion": (None, 0), "qd": (Q_DEFORMED, 1), "gqd": (TWO_PARAM, 1),
+    "LE": (CLASSICAL, 2), "qLE": (Q_DEFORMED, 2), "gq": (TWO_PARAM, 2),
+}
 
 
 def _relation_sides(rel, profile: OscillatorProfile):
     """Operator identities as (scalar, ops) term lists, one (lhs, rhs)
-    pair per identity covered by the relation id."""
+    pair per identity covered by the relation id.  An op is
+    ("ladder", name), ("shift", n) or a generator symbol; the leftmost op
+    acts last.
+
+    The boson, fermion and shift identities are the module's own.  The
+    ladder identities LE, qLE and gq are the algebra's defining relations
+    as the rewriter's table gives them (`algebra._bracket`), so these
+    checks hold the rewriter's relations against the module action.
+    """
     nv = profile.nvars
     one = LaurentPoly.one(nv)
     q = lambda e: LaurentPoly.q_power(e, nv)
+    # r = q^-1 in the q-deformed profile, r = p in the two-param one.
+    r = lambda e: q(-e) if profile is Q_DEFORMED else LaurentPoly.p_power(e)
+    a, a_dag = ("ladder", "a"), ("ladder", "a_dag")
 
     if isinstance(rel, str):
         rel = (rel,)
-    name = rel[0]
+    spec = _RELATION_IDS.get(rel[0]) if rel else None
+    if spec is None or len(rel) != spec[1] + 1:
+        raise ValueError(f"unknown relation id {rel!r}")
+    name, target = rel[0], spec[0]
+    if target is not None and profile is not target:
+        raise ProfileError(f"rel {name!r} applies to the {target.value} profile")
 
     if name == "boson":
-        if profile is not CLASSICAL:
-            raise ProfileError("rel 'boson' applies to the classical profile")
-        yield ([(one, (("ladder", "a"), ("ladder", "a_dag"))),
-                (-one, (("ladder", "a_dag"), ("ladder", "a")))],
-               [(one, ())])
-        return
-    if name == "qboson":
-        if profile is not Q_DEFORMED:
-            raise ProfileError("rel 'qboson' applies to the q-deformed profile")
-        yield ([(q(-1), (("ladder", "a"), ("ladder", "a_dag"))),
-                (-q(1), (("ladder", "a_dag"), ("ladder", "a")))],
-               [(one, ())])
-        return
-    if name == "gboson":
-        if profile is not TWO_PARAM:
-            raise ProfileError("rel 'gboson' applies to the two-param profile")
-        yield ([(LaurentPoly.p_power(1), (("ladder", "a"), ("ladder", "a_dag"))),
-                (-q(1), (("ladder", "a_dag"), ("ladder", "a")))],
-               [(one, ())])
-        return
-    if name == "fermion":
-        yield ([(one, (("ladder", "b"), ("ladder", "b_dag"))),
-                (one, (("ladder", "b_dag"), ("ladder", "b")))],
-               [(one, ())])
-        yield ([(one, (("ladder", "b"), ("ladder", "b")))], [])
-        yield ([(one, (("ladder", "b_dag"), ("ladder", "b_dag")))], [])
-        return
-    if name == "qd":
-        if profile is not Q_DEFORMED:
-            raise ProfileError("rel 'qd' applies to the q-deformed profile")
+        yield [(one, (a, a_dag)), (-one, (a_dag, a))], [(one, ())]
+    elif name in ("qboson", "gboson"):
+        yield [(r(1), (a, a_dag)), (-q(1), (a_dag, a))], [(one, ())]
+    elif name == "fermion":
+        b, b_dag = ("ladder", "b"), ("ladder", "b_dag")
+        yield [(one, (b, b_dag)), (one, (b_dag, b))], [(one, ())]
+        yield [(one, (b, b))], []
+        yield [(one, (b_dag, b_dag))], []
+    elif name in ("qd", "gqd"):
         (n,) = rel[1:]
-        yield ([(q(-n), (("ladder", "a"), ("shift", n))),
-                (-q(n), (("shift", n), ("ladder", "a")))],
-               [(q_int(n), (("shift", n - 1),))])
-        return
-    if name == "gqd":
-        if profile is not TWO_PARAM:
-            raise ProfileError("rel 'gqd' applies to the two-param profile")
-        (n,) = rel[1:]
-        yield ([(LaurentPoly.p_power(n), (("ladder", "a"), ("shift", n))),
-                (-q(n), (("shift", n), ("ladder", "a")))],
-               [(q_int(n, 2), (("shift", n - 1),))])
-        return
-
-    m, n = rel[1:]
-    gl = lambda i: ("gen", GeneratorSymbol("L", i))
-    gw = lambda i: ("gen", GeneratorSymbol("W", i))
-    if name == "LE":
-        if profile is not CLASSICAL:
-            raise ProfileError("rel 'LE' applies to the classical profile")
-        c = LaurentPoly.constant(n - m)
-        yield ([(one, (gl(m), gl(n))), (-one, (gl(n), gl(m)))],
-               [(c, (gl(m + n),))] if n != m else [])
-        yield ([(one, (gl(m), gw(n))), (-one, (gw(n), gl(m)))],
-               [(c, (gw(m + n),))] if n != m else [])
-        yield ([(one, (gw(m), gw(n))), (-one, (gw(n), gw(m)))], [])
-        return
-    if name == "qLE":
-        if profile is not Q_DEFORMED:
-            raise ProfileError("rel 'qLE' applies to the q-deformed profile")
-        c = q_int(m - n)
-        yield ([(q(n - m), (gl(n), gl(m))), (-q(m - n), (gl(m), gl(n)))],
-               [(c, (gl(m + n),))] if c else [])
-        yield ([(q(n - m), (gl(n), gw(m))), (-q(m - n), (gw(m), gl(n)))],
-               [(c, (gw(m + n),))] if c else [])
-        yield ([(q(n - m), (gw(n), gw(m))), (-q(m - n), (gw(m), gw(n)))], [])
-        return
-    if name == "gq":
-        if profile is not TWO_PARAM:
-            raise ProfileError("rel 'gq' applies to the two-param profile")
-        c = -q_int(n - m, 2)
-        pnm = LaurentPoly.p_power(n - m)
-        yield ([(q(n - m), (gl(n), gl(m))), (-pnm, (gl(m), gl(n)))],
-               [(c, (gl(m + n),))] if c else [])
-        yield ([(q(n - m), (gl(n), gw(m))), (-pnm, (gw(m), gl(n)))],
-               [(c, (gw(m + n),))] if c else [])
-        yield ([(q(n - m), (gw(n), gw(m))), (-pnm, (gw(m), gw(n)))], [])
-        return
-    raise ValueError(f"unknown relation id {rel!r}")
+        yield ([(r(n), (a, ("shift", n))), (-q(n), (("shift", n), a))],
+               [(q_int(n, nv), (("shift", n - 1),))])
+    else:
+        m, n = rel[1:]
+        if name == "LE":  # the q = 1 limit of qLE(n, m)
+            m, n = n, m
+        rewrite = _REWRITE_FOR.get(profile, DeformationProfile.STANDARD)
+        for left, right in (("L", "L"), ("W", "L"), ("W", "W")):
+            sides = _bracket(GeneratorSymbol(left, m), GeneratorSymbol(right, n), rewrite)
+            if profile is CLASSICAL:
+                at_one = lambda side: [(LaurentPoly.constant(int(c.eval(1))), w) for c, w in side]
+                sides = map(at_one, sides)
+            yield tuple(sides)
 
 
 def _eval_side(side, v: ModuleVector) -> ModuleVector:
     out: dict = {}
     for scalar, ops in side:
-        _add_scaled(out, _op_chain(ops)(v)._terms, scalar)
+        w = v
+        for op in reversed(ops):
+            if op[0] == "ladder":
+                w = apply_ladder(op[1], w)
+            elif op[0] == "shift":
+                w = shift(op[1], w)
+            else:
+                w = apply_generator(op, w)
+        _add_scaled(out, w._terms, scalar)
     return ModuleVector._raw(v.profile, out)
 
 
@@ -366,7 +326,9 @@ def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
 
     rel is an id string or a tuple (id, indices...): "boson", "fermion",
     "qboson", "gboson", ("qd", n), ("gqd", n), ("LE", m, n), ("qLE", m, n),
-    ("gq", m, n).  Returns (ok, witness) with a printed counterexample."""
+    ("gq", m, n); an unknown id or a wrong number of indices raises
+    ValueError, an id of another profile ProfileError.  Returns
+    (ok, witness) with a printed counterexample."""
     lo, hi = k_range
     sides = list(_relation_sides(rel, profile))
     for k in range(lo, hi + 1):

@@ -22,12 +22,12 @@ from .algebra import (
     T,
     T_INV,
     W,
+    _bracket,
     classical_limit,
     element_from,
     evaluate,
     multiply,
     normalize,
-    q_bracket,
     substitute_p_inverse,
 )
 from .hopf import antipode, check_axiom, coproduct, power_closed_form
@@ -362,17 +362,14 @@ def _suite_osc_relations(bounds: SuiteBounds, rng) -> tuple:
 def _suite_classical_limit(bounds: SuiteBounds, rng) -> tuple:
     rec = _Recorder()
     mi = bounds.max_index
-    qp = LaurentPoly.q_power
+    zero = Element.zero(STANDARD)
     for m in _index_range(mi):
         for n in _index_range(mi):
-            pairs = (
-                ("LL", L(n), L(m), element_from(L(m + n)).scaled(q_int(m - n))),
-                ("LW", L(n), W(m), element_from(W(m + n)).scaled(q_int(m - n))),
-                ("WW", W(n), W(m), Element.zero(STANDARD)),
-            )
-            for tag, a, b, want in pairs:
-                got = q_bracket(
-                    element_from(a), element_from(b), qp(n - m), qp(m - n)
+            for tag, left, right in (("LL", L(m), L(n)), ("LW", W(m), L(n)), ("WW", W(m), W(n))):
+                # The defining relation in bracket form, from the rewriter's table.
+                got, want = (
+                    sum((normalize(word) * c for c, word in side), zero)
+                    for side in _bracket(left, right, STANDARD)
                 )
                 rec.record(
                     got == want,
@@ -380,10 +377,8 @@ def _suite_classical_limit(bounds: SuiteBounds, rng) -> tuple:
                         f"{tag} bracket at m={m} n={n} gave {got}, expected {want}"
                     ),
                 )
-                limit_got = classical_limit(
-                    multiply(element_from(a), element_from(b))
-                    - multiply(element_from(b), element_from(a))
-                )
+                a, b = element_from(right), element_from(left)
+                limit_got = classical_limit(multiply(a, b) - multiply(b, a))
                 limit_want = evaluate(want, 1)
                 rec.record(
                     limit_got == limit_want,
@@ -392,9 +387,8 @@ def _suite_classical_limit(bounds: SuiteBounds, rng) -> tuple:
                         f"expected {limit_want}"
                     ),
                 )
-            for tag, a, b in (("LL", L(n), L(m)), ("LW", L(n), W(m)), ("WW", W(n), W(m))):
-                gen = multiply(element_from(a, GENERALIZED), element_from(b, GENERALIZED))
-                std = multiply(element_from(a), element_from(b))
+                gen = multiply(element_from(right, GENERALIZED), element_from(left, GENERALIZED))
+                std = multiply(a, b)
                 folded = substitute_p_inverse(gen)
                 rec.record(
                     folded == std,

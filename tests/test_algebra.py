@@ -417,6 +417,15 @@ def test_q_bracket_reproduces_fusion():
         assert got == element_from(W(m + n)).scaled(q_int(m - n))
         got = q_bracket(element_from(W(n)), element_from(W(m)), qp(n - m), qp(m - n))
         assert got.is_zero()
+    # Generalized: q^(n-m) X[n] Y[m] - p^(n-m) Y[m] X[n] = -[n-m]_2 Z[m+n].
+    g = lambda sym: element_from(sym, G)
+    for m, n in rel_pairs(-5, 5):
+        got = q_bracket(g(L(n)), g(L(m)), qp2(n - m), pp(n - m))
+        assert got == g(L(m + n)).scaled(-q_int(n - m, 2))
+        got = q_bracket(g(W(n)), g(L(m)), qp2(n - m), pp(n - m))
+        assert got == g(W(m + n)).scaled(-q_int(n - m, 2))
+        got = q_bracket(g(W(n)), g(W(m)), qp2(n - m), pp(n - m))
+        assert got.is_zero()
 
 
 def test_classical_limit_is_the_lie_bracket():

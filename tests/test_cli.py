@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes, reports, determinism."""
 
 import contextlib
+import doctest
 import io
 import json
 import os
@@ -47,6 +48,17 @@ def test_normalize_documented_output():
 
 def test_counit_documented_output():
     assert run(["counit", "T^2"]) == (0, "1\n", "")
+
+
+def test_readme_examples():
+    """Every >>> example in README's python blocks prints what it shows."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    test = doctest.DocTestParser().get_doctest("".join(blocks), {}, "README.md", readme, 0)
+    report = io.StringIO()
+    result = doctest.DocTestRunner().run(test, out=report.write)
+    assert result.attempted and not result.failed, report.getvalue()
 
 
 def test_normalize_generalized_profile():

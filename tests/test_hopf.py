@@ -6,6 +6,7 @@ import pytest
 
 from qw22 import hopf
 from qw22 import (
+    ArithmeticBoundError,
     DeformationProfile,
     Element,
     L,
@@ -309,6 +310,17 @@ def test_preservation_holds_for_delta_eps_and_s_on_the_rest():
             for n in range(-4, 5):
                 ok, witness = check_axiom(rel, (m, n))
                 assert ok, (rel, m, n, witness)
+
+
+def test_same_index_relations_at_the_index_cap():
+    """X[m] Y[m] has no fused term ([0] = 0), so its check builds no
+    X[2m] and gives a verdict where 2m is beyond the index cap; a fused
+    letter beyond the cap is an ArithmeticBoundError."""
+    for rel in ("delta-ll", "eps-lw", "s-ll", "s-lw"):
+        assert check_axiom(rel, (2**20, 2**20)) == (True, None)
+        assert check_axiom(rel, (-(2**19) - 1, -(2**19) - 1)) == (True, None)
+    with pytest.raises(ArithmeticBoundError):
+        check_axiom("delta-ll", (2**19 + 1, 2**19))
 
 
 def test_t_runs_map_in_one_step():

@@ -162,6 +162,44 @@ def test_relation_profile_pairing():
         check_relation(("qLE", 1, 2), C, (-2, 2))
     with pytest.raises(ProfileError):
         check_relation(("gq", 1, 2), Q, (-2, 2))
+    for rel in ("nope", ("qd",), ("LE", 1), ("qLE", 1, 2, 3), ()):
+        with pytest.raises(ValueError, match="unknown relation id"):
+            check_relation(rel, C, (-2, 2))
+
+
+def test_ladder_identities_read_the_rewrite_table(monkeypatch):
+    """qLE and gq take their coefficients from the rewriter's relation
+    table, so a wrong convention there fails against the module action."""
+    rule = algebra._pair_rule
+
+    def flipped(left, right, profile):
+        swap, fuse, fused = rule(left, right, profile)
+        return swap, (None if fuse is None else -fuse), fused
+
+    def clear():
+        rule.cache_clear()
+        algebra._insert_cache.clear()
+
+    clear()
+    monkeypatch.setattr(algebra, "_pair_rule", flipped)
+    try:
+        assert not check_relation(("qLE", 2, -1), Q, (-4, 4))[0]
+        assert not check_relation(("gq", 2, -1), P2, (-4, 4))[0]
+    finally:
+        monkeypatch.undo()
+        clear()
+    assert check_relation(("qLE", 2, -1), Q, (-4, 4)) == (True, None)
+    assert check_relation(("gq", 2, -1), P2, (-4, 4)) == (True, None)
+
+
+def test_ladder_identities_check_the_fused_index():
+    """The fused letter X[m+n] meets the index cap as in the rewriter, even
+    where no path of the grade window reaches it."""
+    big = 2**19
+    for name, prof in (("LE", C), ("qLE", Q), ("gq", P2)):
+        for m, n in ((big + 1, big), (-big, -big - 1)):
+            with pytest.raises(ArithmeticBoundError):
+                check_relation((name, m, n), prof, (0, 0))
 
 
 # -- the oracle -------------------------------------------------------------------
