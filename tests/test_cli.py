@@ -5,6 +5,7 @@ import doctest
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -260,3 +261,16 @@ def test_import_loads_no_numpy():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+GOLDEN_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_check_reports.json").read_text()
+)
+
+
+@pytest.mark.parametrize("row", GOLDEN_REPORTS, ids=lambda row: " ".join(row["argv"]))
+def test_golden_check_reports(row):
+    # Recorded once and never regenerated: every suite's counts and first
+    # counterexample, text and JSON, byte for byte.
+    code, out, _ = run(row["argv"])
+    assert (code, out) == (row["exit_code"], row["stdout"])
