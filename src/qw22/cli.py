@@ -37,6 +37,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _k_range(text: str) -> tuple:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -172,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=SUITE_IDS + ("all",),
                          help="suite id, or 'all'")
     p_check.add_argument("--json", action="store_true", help="emit JSON")
-    p_check.add_argument("--max-index", type=int, default=4,
+    p_check.add_argument("--max-index", type=_count, default=4,
                          help="generator index bound (default 4)")
-    p_check.add_argument("--max-len", type=int, default=3,
+    p_check.add_argument("--max-len", type=_count, default=3,
                          help="word length bound (default 3)")
     p_check.add_argument("--k-range", type=_k_range, default=(-8, 8),
                          metavar="LO..HI",
@@ -182,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0,
                          help="seed for randomized cases (default 0; "
                               "QW22_SEED overrides)")
-    p_check.add_argument("--cases", type=int, default=200,
+    p_check.add_argument("--cases", type=_count, default=200,
                          help="randomized cases per family (default 200)")
     p_check.set_defaults(func=_cmd_check)
 

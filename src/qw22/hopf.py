@@ -15,7 +15,7 @@ generalized two-parameter profile has no Hopf layer and is rejected.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from math import comb
 
@@ -270,24 +270,58 @@ def power_closed_form(map_name: str, gen_kind: str, n: int, r: int):
     raise ValueError("map_name must be 'delta' or 'antipode'")
 
 
-# -- axiom checks -----------------------------------------------------------
+# -- law checks -------------------------------------------------------------
+#
+# Each law maps its argument to the difference of its two sides, so the law
+# holds exactly where that difference is zero.
 
 
-def _triple_expand(t: TensorElement, slot: int) -> TensorElement:
-    """Apply delta inside one slot of a two-tensor, giving a three-slot tensor."""
+def _with_slot(key: tuple, slot: int, *values) -> tuple:
+    """key with its entry at slot replaced by values."""
+    return key[:slot] + values + key[slot + 1 :]
+
+
+def _delta_in_slot(slot: int, x: Element) -> TensorElement:
+    """(delta (x) 1) delta x at slot 0, (1 (x) delta) delta x at slot 1."""
     out: dict = {}
-    for (a, b), c in t._terms.items():
-        inner = _word_coproduct(a if slot == 0 else b)
-        for (u, v), d in inner._terms.items():
-            _add_term(out, (u, v, b) if slot == 0 else (a, u, v), c * d)
+    for key, c in coproduct(x)._terms.items():
+        for pair, d in _word_coproduct(key[slot])._terms.items():
+            _add_term(out, _with_slot(key, slot, *pair), c * d)
     return TensorElement._raw(STANDARD, out)
 
+
+def _counit_diagram(slot: int, x: Element) -> TensorElement:
+    """(eps (x) 1) delta = 1 (x) x at slot 0, (1 (x) eps) delta = x (x) 1 at 1."""
+    got = {}
+    for key, c in coproduct(x)._terms.items():
+        if not (key[slot].l_block or key[slot].w_block):
+            _add_term(got, _with_slot(key, slot, UNIT_WORD), c)
+    want = tensor_of(*_with_slot((x, x), slot, Element.unit(STANDARD)))
+    return TensorElement._raw(STANDARD, got) - want
+
+
+def _antipode_diagram(slot: int, x: Element) -> Element:
+    """m (S (x) 1) delta = eps * 1 at slot 0, m (1 (x) S) delta = eps * 1 at 1."""
+    got = {}
+    for key, c in coproduct(x)._terms.items():
+        factors = _with_slot(tuple(map(element_from, key)), slot, _word_antipode(key[slot]))
+        _add_scaled(got, multiply(*factors)._terms, c)
+    return Element._raw(STANDARD, got) - Element.unit(STANDARD).scaled(counit(x))
+
+
+# The structure maps on free words, each with the zero of its target.
+_WORD_MAPS = {
+    "delta": (map_word_coproduct, TensorElement),
+    "eps": (map_word_counit, LaurentPoly.zero),
+    "s": (map_word_antipode, lambda: Element.zero(STANDARD)),
+}
 
 # Relation ids usable in relation-preservation checks: each maps (m, n) to
 # scalar-weighted free words for the two sides of a defining relation, the
 # T-crossing T^m X[n] = q^-e X[n] T^m (tl, tw) or the bracket form of the
 # pair X[m] Y[n] with the letters named here (ll, lw, ww).
 _PAIRS = {"ll": (L, L), "lw": (W, L), "ww": (W, W)}
+_RELATIONS = ("tl", "tw", *_PAIRS)
 
 
 def _relation_words(rel: str, m: int, n: int):
@@ -302,130 +336,93 @@ def _relation_words(rel: str, m: int, n: int):
     raise ValueError(f"unknown relation id {rel!r}")
 
 
-def _combine_words(side, mapper, zero):
-    return sum((mapper(word) * scalar for scalar, word in side), zero)
-
-
-def _verdict(diff) -> tuple:
-    """(ok, witness) for a law whose two sides differ by diff."""
-    ok = diff.is_zero()
-    return ok, (None if ok else diff)
-
-
 def _preservation(map_name: str, rel: str, m: int, n: int):
-    lhs, rhs = _relation_words(rel, m, n)
-    if map_name == "delta":
-        mapper, zero = map_word_coproduct, TensorElement()
-    elif map_name == "eps":
-        mapper, zero = map_word_counit, LaurentPoly.zero()
-    elif map_name == "s":
-        mapper, zero = map_word_antipode, Element.zero(STANDARD)
-    else:
-        raise ValueError(f"unknown map {map_name!r}")
-    left = _combine_words(lhs, mapper, zero)
-    right = _combine_words(rhs, mapper, zero)
-    return _verdict(left - right)
+    mapper, zero = _WORD_MAPS[map_name]
+    left, right = (
+        sum((mapper(word) * scalar for scalar, word in side), zero())
+        for side in _relation_words(rel, m, n)
+    )
+    return left - right
 
 
-_PRESERVATION_IDS = {
-    f"{m}-{r}" for m in ("delta", "eps", "s") for r in ("tl", "tw", "ll", "lw", "ww")
+def _commutator(m: int, n: int) -> Element:
+    x, y = element_from(L(m)), element_from(L(n))
+    return multiply(x, y) - multiply(y, x)
+
+
+def _flip_difference(x: Element) -> TensorElement:
+    t = coproduct(x)
+    return flip(t) - t
+
+
+# The law families the check suites iterate: laws on a standard Element, on
+# an (x, y) pair of them, and relation preservation at indices (m, n).
+GENERATOR_LAWS = {
+    "coassoc": lambda x: _delta_in_slot(0, x) - _delta_in_slot(1, x),
+    "counit-left": partial(_counit_diagram, 0),
+    "counit-right": partial(_counit_diagram, 1),
+    "antipode-left": partial(_antipode_diagram, 0),
+    "antipode-right": partial(_antipode_diagram, 1),
+    "s-squared": lambda x: antipode(antipode(x)) - x,
+}
+PAIR_LAWS = {
+    "delta-hom": lambda x, y: (
+        coproduct(multiply(x, y)) - tensor_multiply(coproduct(x), coproduct(y))
+    ),
+    "s-antihom": lambda x, y: antipode(multiply(x, y)) - multiply(antipode(y), antipode(x)),
+}
+PRESERVATION_LAWS = {
+    f"{map_name}-{rel}": partial(_preservation, map_name, rel)
+    for map_name in _WORD_MAPS
+    for rel in _RELATIONS
+}
+
+# Argument families: (description, arity, type of each entry).
+_ELEMENT = ("an Element", 1, Element)
+_ELEMENT_PAIR = ("an (x, y) pair of Elements", 2, Element)
+_INDEX_PAIR = ("an (m, n) pair of ints", 2, int)
+
+# The one table of laws: id -> (argument family, law).  A -witness law
+# exhibits a violation where its difference is nonzero.
+_LAWS = {
+    law_id: (family, law)
+    for family, laws in (
+        (_ELEMENT, {**GENERATOR_LAWS, "cocommutativity-witness": _flip_difference}),
+        (_ELEMENT_PAIR, PAIR_LAWS),
+        (_INDEX_PAIR, {**PRESERVATION_LAWS, "commutativity-witness": _commutator}),
+    )
+    for law_id, law in laws.items()
 }
 
 
 def check_axiom(axiom: str, arg=None) -> tuple:
-    """Verify one Hopf axiom; returns (ok, witness).
+    """Verify one law of `_LAWS` on arg; returns (ok, witness).
 
-    Single-element axioms (arg is an Element): coassoc, counit-left,
-    counit-right, antipode-left, antipode-right, s-squared,
-    cocommutativity-witness.  Pair axioms (arg is an (x, y) Element pair):
-    delta-hom, s-antihom.  Index-pair axioms (arg is (m, n)):
-    commutativity-witness, and every "<map>-<relation>" preservation id
-    with map in delta/eps/s and relation in tl/tw/ll/lw/ww.  The witness
-    conventions are inverted for the two -witness axioms: True means a
-    violation was exhibited.
+    arg is an Element for the GENERATOR_LAWS and cocommutativity-witness, an
+    (x, y) pair of Elements for the PAIR_LAWS, and an (m, n) pair of ints
+    for the PRESERVATION_LAWS ("<map>-<relation>", map in delta/eps/s,
+    relation in tl/tw/ll/lw/ww) and commutativity-witness.  The witness is
+    the difference of the law's two sides, None when it vanishes.  The
+    convention is inverted for the two -witness laws: ok means a violation
+    was exhibited.  An unknown id or an argument of another family raises
+    ValueError, an Element outside the standard profile ProfileError.
     """
-    if axiom in _PRESERVATION_IDS:
-        m, n = arg
-        map_name, rel = axiom.split("-")
-        return _preservation(map_name, rel, m, n)
-
-    if axiom == "delta-hom":
-        x, y = arg
-        _require_standard(x)
-        diff = coproduct(multiply(x, y)) - tensor_multiply(coproduct(x), coproduct(y))
-        return _verdict(diff)
-
-    if axiom == "s-antihom":
-        x, y = arg
-        diff = antipode(multiply(x, y)) - multiply(antipode(y), antipode(x))
-        return _verdict(diff)
-
-    if axiom == "commutativity-witness":
-        m, n = arg
-        x = element_from(L(m))
-        y = element_from(L(n))
-        diff = multiply(x, y) - multiply(y, x)
-        return (not diff.is_zero()), (diff if not diff.is_zero() else None)
-
-    if axiom not in (
-        "coassoc",
-        "counit-left",
-        "counit-right",
-        "antipode-left",
-        "antipode-right",
-        "s-squared",
-        "cocommutativity-witness",
-    ):
+    if axiom not in _LAWS:
         raise ValueError(f"unknown axiom id {axiom!r}")
-    x = arg
-    _require_standard(x)
-    if axiom == "coassoc":
-        t = coproduct(x)
-        # (delta (x) 1) delta - (1 (x) delta) delta
-        diff = _triple_expand(t, 0) - _triple_expand(t, 1)
-        return _verdict(diff)
-    if axiom == "counit-left":
-        # (eps (x) 1) delta = 1 (x) x
-        t = coproduct(x)
-        got = {}
-        for (a, b), c in t._terms.items():
-            if not (a.l_block or a.w_block):
-                _add_term(got, (UNIT_WORD, b), c)
-        diff = TensorElement._raw(STANDARD, got) - tensor_of(Element.unit(STANDARD), x)
-        return _verdict(diff)
-    if axiom == "counit-right":
-        # (1 (x) eps) delta = x (x) 1
-        t = coproduct(x)
-        got = {}
-        for (a, b), c in t._terms.items():
-            if not (b.l_block or b.w_block):
-                _add_term(got, (a, UNIT_WORD), c)
-        diff = TensorElement._raw(STANDARD, got) - tensor_of(x, Element.unit(STANDARD))
-        return _verdict(diff)
-    if axiom == "antipode-left":
-        # m (S (x) 1) delta = eps * unit
-        t = coproduct(x)
-        got = {}
-        for (a, b), c in t._terms.items():
-            _add_scaled(got, multiply(_word_antipode(a), element_from(b))._terms, c)
-        diff = Element._raw(STANDARD, got) - Element.unit(STANDARD).scaled(counit(x))
-        return _verdict(diff)
-    if axiom == "antipode-right":
-        # m (1 (x) S) delta = eps * unit
-        t = coproduct(x)
-        got = {}
-        for (a, b), c in t._terms.items():
-            _add_scaled(got, multiply(element_from(a), _word_antipode(b))._terms, c)
-        diff = Element._raw(STANDARD, got) - Element.unit(STANDARD).scaled(counit(x))
-        return _verdict(diff)
-    if axiom == "s-squared":
-        diff = antipode(antipode(x)) - x
-        return _verdict(diff)
-    if axiom == "cocommutativity-witness":
-        t = coproduct(x)
-        diff = flip(t) - t
-        return (not diff.is_zero()), (diff if not diff.is_zero() else None)
-    raise ValueError(f"unknown axiom id {axiom!r}")
+    (takes, arity, kind), law = _LAWS[axiom]
+    args = (arg,) if arity == 1 else arg
+    if not (
+        isinstance(args, (tuple, list))
+        and len(args) == arity
+        and all(isinstance(v, kind) for v in args)
+    ):
+        raise ValueError(f"axiom {axiom!r} takes {takes}, got {arg!r}")
+    if kind is Element:
+        for x in args:
+            _require_standard(x)
+    diff = law(*args)
+    found = not diff.is_zero()
+    return (found if axiom.endswith("-witness") else not found), (diff if found else None)
 
 
 # -- rendering ---------------------------------------------------------------

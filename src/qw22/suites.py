@@ -30,31 +30,17 @@ from .algebra import (
     normalize,
     substitute_p_inverse,
 )
-from .hopf import antipode, check_axiom, coproduct, power_closed_form
+from .hopf import (
+    GENERATOR_LAWS,
+    PAIR_LAWS,
+    PRESERVATION_LAWS,
+    antipode,
+    check_axiom,
+    coproduct,
+    power_closed_form,
+)
 from .laurent import LaurentPoly, q_identity_check, q_int
 from .oscillator import check_relation, oracle_consistency, word_text
-
-SUITE_IDS = (
-    "q-identities",
-    "rewrite-assoc",
-    "basis-stability",
-    "hopf-axioms",
-    "closed-forms",
-    "relation-preservation",
-    "rep-oracle",
-    "osc-relations",
-    "classical-limit",
-)
-
-_HOPF_GENERATOR_AXIOMS = (
-    "coassoc",
-    "counit-left",
-    "counit-right",
-    "antipode-left",
-    "antipode-right",
-    "s-squared",
-)
-
 
 @dataclass(frozen=True)
 class SuiteBounds:
@@ -117,22 +103,6 @@ def report_json_obj(report: CheckReport) -> dict:
     }
 
 
-class _Recorder:
-    """Counts cases and keeps the first failure's description."""
-
-    def __init__(self):
-        self.run = 0
-        self.failed = 0
-        self.first = None
-
-    def record(self, ok: bool, describe):
-        self.run += 1
-        if not ok:
-            self.failed += 1
-            if self.first is None:
-                self.first = describe()
-
-
 def _index_range(max_index: int):
     return range(-max_index, max_index + 1)
 
@@ -174,34 +144,29 @@ def _random_normal_word(rng, max_len, max_index, with_t: bool) -> NormalWord:
 
 
 # -- individual suites -------------------------------------------------------
+#
+# Each suite yields one (ok, describe) pair per case; describe() renders the
+# case as a counterexample and is called before the suite moves on.
 
 
-def _suite_q_identities(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_q_identities(bounds: SuiteBounds, rng):
     mi = bounds.max_index
     for m in _index_range(mi):
         for n in _index_range(mi):
-            ok = q_identity_check(m, n)
-            rec.record(ok, lambda m=m, n=n: f"q-integer identity failed at m={m} n={n}")
+            yield q_identity_check(m, n), lambda: f"q-integer identity failed at m={m} n={n}"
     q2 = LaurentPoly.q_power(1, 2)
     p2 = LaurentPoly.p_power(1)
     for n in _index_range(mi):
         lhs = (q2 - p2) * q_int(n, 2)
         rhs = LaurentPoly.q_power(n, 2) - LaurentPoly.p_power(n)
-        rec.record(
-            lhs == rhs,
-            lambda n=n, lhs=lhs, rhs=rhs: f"(q - p) * [{n}] = {lhs}, expected {rhs}",
-        )
+        yield lhs == rhs, lambda: f"(q - p) * [{n}] = {lhs}, expected {rhs}"
         folded = q_int(n, 2).substitute_p_inverse()
-        rec.record(
-            folded == q_int(n),
-            lambda n=n, folded=folded: f"[{n}] at p = q^-1 gave {folded}, expected {q_int(n)}",
+        yield folded == q_int(n), lambda: (
+            f"[{n}] at p = q^-1 gave {folded}, expected {q_int(n)}"
         )
-    return "standard-q, generalized-two-param", rec
 
 
-def _suite_rewrite_assoc(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_rewrite_assoc(bounds: SuiteBounds, rng):
     for profile, allow_t in ((STANDARD, True), (GENERALIZED, False)):
         for _ in range(bounds.cases):
             words = [
@@ -209,32 +174,20 @@ def _suite_rewrite_assoc(bounds: SuiteBounds, rng) -> tuple:
                 for _ in range(3)
             ]
             x, y, z = (normalize(w, profile) for w in words)
-            left = multiply(multiply(x, y), z)
-            right = multiply(x, multiply(y, z))
-            rec.record(
-                left == right,
-                lambda words=words, profile=profile: (
-                    f"[{profile.value}] (xy)z != x(yz) for x={word_text(words[0]) or '1'} "
-                    f"y={word_text(words[1]) or '1'} z={word_text(words[2]) or '1'}"
-                ),
+            yield multiply(multiply(x, y), z) == multiply(x, multiply(y, z)), lambda: (
+                f"[{profile.value}] (xy)z != x(yz) for x={word_text(words[0]) or '1'} "
+                f"y={word_text(words[1]) or '1'} z={word_text(words[2]) or '1'}"
             )
-    return "standard-q, generalized-two-param", rec
 
 
-def _suite_basis_stability(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_basis_stability(bounds: SuiteBounds, rng):
     for profile, with_t in ((STANDARD, True), (GENERALIZED, False)):
         for _ in range(bounds.cases):
             nw = _random_normal_word(rng, bounds.max_len, bounds.max_index, with_t)
             got = normalize(nw.generator_sequence(), profile)
-            want = element_from(nw, profile)
-            rec.record(
-                got == want,
-                lambda nw=nw, got=got, profile=profile: (
-                    f"[{profile.value}] normal word {nw.text() or '1'} rewrote to {got}"
-                ),
+            yield got == element_from(nw, profile), lambda: (
+                f"[{profile.value}] normal word {nw.text() or '1'} rewrote to {got}"
             )
-    return "standard-q, generalized-two-param", rec
 
 
 def _hopf_generators(max_index: int):
@@ -245,100 +198,66 @@ def _hopf_generators(max_index: int):
     return gens
 
 
-def _suite_hopf_axioms(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_hopf_axioms(bounds: SuiteBounds, rng):
     for el in _hopf_generators(bounds.max_index):
-        for axiom in _HOPF_GENERATOR_AXIOMS:
+        for axiom in GENERATOR_LAWS:
             ok, witness = check_axiom(axiom, el)
-            rec.record(
-                ok,
-                lambda axiom=axiom, el=el, witness=witness: (
-                    f"{axiom} failed on {el}: {witness}"
-                ),
-            )
+            yield ok, lambda: f"{axiom} failed on {el}: {witness}"
     for _ in range(bounds.cases):
         wx = _random_word(rng, bounds.max_len, bounds.max_index, True)
         wy = _random_word(rng, bounds.max_len, bounds.max_index, True)
         x = normalize(wx, STANDARD)
         y = normalize(wy, STANDARD)
-        for axiom in ("delta-hom", "s-antihom"):
+        for axiom in PAIR_LAWS:
             ok, witness = check_axiom(axiom, (x, y))
-            rec.record(
-                ok,
-                lambda axiom=axiom, wx=wx, wy=wy, witness=witness: (
-                    f"{axiom} failed on x={word_text(wx) or '1'} "
-                    f"y={word_text(wy) or '1'}: {witness}"
-                ),
+            yield ok, lambda: (
+                f"{axiom} failed on x={word_text(wx) or '1'} "
+                f"y={word_text(wy) or '1'}: {witness}"
             )
     # Delta is cocommutative (README), so a flip witness is a failure.
     found, witness = check_axiom("cocommutativity-witness", element_from(L(1)))
-    rec.record(not found, lambda: f"delta(L[1]) differs from its flip by {witness}")
-    ok, _w = check_axiom("commutativity-witness", (0, 1))
-    rec.record(ok, lambda: "expected L[0] and L[1] not to commute")
-    return "standard-q", rec
+    yield not found, lambda: f"delta(L[1]) differs from its flip by {witness}"
+    found, _ = check_axiom("commutativity-witness", (0, 1))
+    yield found, lambda: "expected L[0] and L[1] not to commute"
 
 
-def _suite_closed_forms(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_closed_forms(bounds: SuiteBounds, rng):
     for kind in ("L", "W"):
         build = L if kind == "L" else W
         for n in _index_range(bounds.max_index):
             for r in range(7):
-                word = (build(n),) * r
-                direct_d = coproduct(normalize(word, STANDARD))
-                closed_d = power_closed_form("delta", kind, n, r)
-                rec.record(
-                    direct_d == closed_d,
-                    lambda kind=kind, n=n, r=r: (
-                        f"delta closed form disagrees on {kind}[{n}]^{r}"
-                    ),
+                x = normalize((build(n),) * r, STANDARD)
+                yield coproduct(x) == power_closed_form("delta", kind, n, r), lambda: (
+                    f"delta closed form disagrees on {kind}[{n}]^{r}"
                 )
-                direct_s = antipode(normalize(word, STANDARD))
-                closed_s = power_closed_form("antipode", kind, n, r)
-                rec.record(
-                    direct_s == closed_s,
-                    lambda kind=kind, n=n, r=r: (
-                        f"antipode closed form disagrees on {kind}[{n}]^{r}"
-                    ),
+                yield antipode(x) == power_closed_form("antipode", kind, n, r), lambda: (
+                    f"antipode closed form disagrees on {kind}[{n}]^{r}"
                 )
-    return "standard-q", rec
 
 
-def _suite_relation_preservation(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
-    for map_name in ("delta", "eps", "s"):
-        for rel in ("tl", "tw", "ll", "lw", "ww"):
-            for m in _index_range(bounds.max_index):
-                for n in _index_range(bounds.max_index):
-                    ok, witness = check_axiom(f"{map_name}-{rel}", (m, n))
-                    rec.record(
-                        ok,
-                        lambda map_name=map_name, rel=rel, m=m, n=n, witness=witness: (
-                            f"{map_name} breaks relation {rel} at m={m} n={n}: {witness}"
-                        ),
-                    )
-    return "standard-q", rec
+def _suite_relation_preservation(bounds: SuiteBounds, rng):
+    for law in PRESERVATION_LAWS:
+        map_name, rel = law.split("-")
+        for m in _index_range(bounds.max_index):
+            for n in _index_range(bounds.max_index):
+                ok, witness = check_axiom(law, (m, n))
+                yield ok, lambda: (
+                    f"{map_name} breaks relation {rel} at m={m} n={n}: {witness}"
+                )
 
 
-def _suite_rep_oracle(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_rep_oracle(bounds: SuiteBounds, rng):
     for profile in (osc.CLASSICAL, osc.Q_DEFORMED, osc.TWO_PARAM):
         for _ in range(bounds.cases):
             word = _random_word(rng, bounds.max_len, bounds.max_index, False)
             ok, witness = oracle_consistency(word, profile, bounds.k_range)
-            rec.record(
-                ok,
-                lambda profile=profile, word=word, witness=witness: (
-                    f"[{profile.value}] module action disagrees with the normal "
-                    f"form of {word_text(word) or '1'}: {witness}"
-                ),
+            yield ok, lambda: (
+                f"[{profile.value}] module action disagrees with the normal "
+                f"form of {word_text(word) or '1'}: {witness}"
             )
-    return "classical, q-deformed, two-param", rec
 
 
-def _suite_osc_relations(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
-    kr = bounds.k_range
+def _suite_osc_relations(bounds: SuiteBounds, rng):
     jobs = [("boson", osc.CLASSICAL), ("qboson", osc.Q_DEFORMED), ("gboson", osc.TWO_PARAM)]
     jobs += [("fermion", p) for p in (osc.CLASSICAL, osc.Q_DEFORMED, osc.TWO_PARAM)]
     jobs += [(("qd", n), osc.Q_DEFORMED) for n in range(-10, 11)]
@@ -349,18 +268,11 @@ def _suite_osc_relations(bounds: SuiteBounds, rng) -> tuple:
             jobs.append((("qLE", m, n), osc.Q_DEFORMED))
             jobs.append((("gq", m, n), osc.TWO_PARAM))
     for rel, profile in jobs:
-        ok, witness = check_relation(rel, profile, kr)
-        rec.record(
-            ok,
-            lambda rel=rel, profile=profile, witness=witness: (
-                f"[{profile.value}] relation {rel} fails: {witness}"
-            ),
-        )
-    return "classical, q-deformed, two-param", rec
+        ok, witness = check_relation(rel, profile, bounds.k_range)
+        yield ok, lambda: f"[{profile.value}] relation {rel} fails: {witness}"
 
 
-def _suite_classical_limit(bounds: SuiteBounds, rng) -> tuple:
-    rec = _Recorder()
+def _suite_classical_limit(bounds: SuiteBounds, rng):
     mi = bounds.max_index
     zero = Element.zero(STANDARD)
     for m in _index_range(mi):
@@ -371,67 +283,68 @@ def _suite_classical_limit(bounds: SuiteBounds, rng) -> tuple:
                     sum((normalize(word) * c for c, word in side), zero)
                     for side in _bracket(left, right, STANDARD)
                 )
-                rec.record(
-                    got == want,
-                    lambda tag=tag, m=m, n=n, got=got, want=want: (
-                        f"{tag} bracket at m={m} n={n} gave {got}, expected {want}"
-                    ),
+                yield got == want, lambda: (
+                    f"{tag} bracket at m={m} n={n} gave {got}, expected {want}"
                 )
                 a, b = element_from(right), element_from(left)
                 limit_got = classical_limit(multiply(a, b) - multiply(b, a))
                 limit_want = evaluate(want, 1)
-                rec.record(
-                    limit_got == limit_want,
-                    lambda tag=tag, m=m, n=n, limit_got=limit_got, limit_want=limit_want: (
-                        f"{tag} commutator at q=1, m={m} n={n}: got {limit_got}, "
-                        f"expected {limit_want}"
-                    ),
+                yield limit_got == limit_want, lambda: (
+                    f"{tag} commutator at q=1, m={m} n={n}: got {limit_got}, "
+                    f"expected {limit_want}"
                 )
                 gen = multiply(element_from(right, GENERALIZED), element_from(left, GENERALIZED))
                 std = multiply(a, b)
                 folded = substitute_p_inverse(gen)
-                rec.record(
-                    folded == std,
-                    lambda tag=tag, m=m, n=n, folded=folded, std=std: (
-                        f"{tag} two-parameter product at p=q^-1, m={m} n={n}: "
-                        f"got {folded}, expected {std}"
-                    ),
+                yield folded == std, lambda: (
+                    f"{tag} two-parameter product at p=q^-1, m={m} n={n}: "
+                    f"got {folded}, expected {std}"
                 )
-    return "standard-q, generalized-two-param", rec
 
 
-_SUITE_FUNCS = {
-    "q-identities": _suite_q_identities,
-    "rewrite-assoc": _suite_rewrite_assoc,
-    "basis-stability": _suite_basis_stability,
-    "hopf-axioms": _suite_hopf_axioms,
-    "closed-forms": _suite_closed_forms,
-    "relation-preservation": _suite_relation_preservation,
-    "rep-oracle": _suite_rep_oracle,
-    "osc-relations": _suite_osc_relations,
-    "classical-limit": _suite_classical_limit,
+_BOTH_PROFILES = "standard-q, generalized-two-param"
+_OSCILLATOR_PROFILES = "classical, q-deformed, two-param"
+
+# id -> (suite, the profiles it covers), in the order `all` runs them.
+_SUITES = {
+    "q-identities": (_suite_q_identities, _BOTH_PROFILES),
+    "rewrite-assoc": (_suite_rewrite_assoc, _BOTH_PROFILES),
+    "basis-stability": (_suite_basis_stability, _BOTH_PROFILES),
+    "hopf-axioms": (_suite_hopf_axioms, "standard-q"),
+    "closed-forms": (_suite_closed_forms, "standard-q"),
+    "relation-preservation": (_suite_relation_preservation, "standard-q"),
+    "rep-oracle": (_suite_rep_oracle, _OSCILLATOR_PROFILES),
+    "osc-relations": (_suite_osc_relations, _OSCILLATOR_PROFILES),
+    "classical-limit": (_suite_classical_limit, _BOTH_PROFILES),
 }
+SUITE_IDS = tuple(_SUITES)
 
 
 def _run_one(suite_id: str, bounds: SuiteBounds) -> CheckReport:
-    rng = random.Random(bounds.seed)
+    suite, profile = _SUITES[suite_id]
+    run = failed = 0
+    first = None
     start = time.perf_counter()
-    profile, rec = _SUITE_FUNCS[suite_id](bounds, rng)
-    elapsed = time.perf_counter() - start
+    for ok, describe in suite(bounds, random.Random(bounds.seed)):
+        run += 1
+        if not ok:
+            failed += 1
+            if first is None:
+                first = describe()
     return CheckReport(
         suite=suite_id,
         profile=profile,
         bounds=bounds,
-        cases_run=rec.run,
-        cases_failed=rec.failed,
-        first_counterexample=rec.first,
-        wall_time_s=elapsed,
+        cases_run=run,
+        cases_failed=failed,
+        first_counterexample=first,
+        wall_time_s=time.perf_counter() - start,
     )
 
 
 def run_suite(suite_id: str, bounds: SuiteBounds) -> list:
     """Run one suite, or all of them plus an aggregate when id is "all"."""
-    if suite_id in _SUITE_FUNCS:
+    if suite_id in _SUITES:
         return [_run_one(suite_id, bounds)]
     if suite_id != "all":
         raise ValueError(f"unknown suite {suite_id!r}")

@@ -171,6 +171,23 @@ def test_failing_suite_report_still_emitted():
     assert lines[-1] == "result: FAIL"
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("rewrite-assoc", "--max-len", "-1"),
+        ("basis-stability", "--max-len", "-1"),
+        ("rep-oracle", "--max-index", "-2"),
+        ("q-identities", "--max-index", "-1"),
+        ("rewrite-assoc", "--cases", "-5"),
+    ],
+)
+def test_negative_bounds_are_usage_errors(suite, flag, value):
+    # Each once crashed with a traceback (exit 1) or ran no case and passed.
+    code, out, err = run(["check", suite, flag, value])
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must be nonnegative, got {value}" in err
+
+
 def test_cocommutativity_is_not_a_failure():
     code, out, _ = run(["check", "hopf-axioms", "--max-index", "0", "--cases", "0"])
     assert code == 0
