@@ -422,17 +422,33 @@ def _r_power(e: int, profile):
     return LaurentPoly.q_power(-e) if profile is STANDARD else LaurentPoly.p_power(e)
 
 
-# Built once per gap: two rounds of the associator benchmark meet 50
-# distinct (gap, profile) pairs, two of the oracle benchmark 67.
-@lru_cache(maxsize=128)
 def _swap(d: int, profile):
     """The swap factor of a letter X[b] moved left across letters X[a], for
     the gap d = sum(b - a): q^d r^-d, that is q^(2d) in the standard
     profile and q^d p^-d in the generalized one.  It is multiplicative in
-    d, so one call gives the factor of a whole run of crossings."""
+    d, so a whole run of crossings is one gap, applied by `_shifted`."""
     if profile is STANDARD:
         return LaurentPoly.q_power(2 * d)
     return LaurentPoly.monomial(1, d, -d, nvars=2)
+
+
+def _shifted(c: LaurentPoly, d: int, profile) -> LaurentPoly:
+    """c * _swap(d, profile), as a shift of c's exponents."""
+    return c.shifted(2 * d, 0) if profile is STANDARD else c.shifted(d, -d)
+
+
+def _add_gapped(out: dict, key, c, g: int, profile) -> None:
+    """out[key] += c * _swap(g) on a sparse {key: (coeff, gap)} map,
+    dropping zeros; a term meeting one of another gap is shifted to it."""
+    prev = out.get(key)
+    if prev is not None:
+        pc, g0 = prev
+        c = pc + (c if g == g0 else _shifted(c, g - g0, profile))
+        g = g0
+    if c:
+        out[key] = c, g
+    else:
+        out.pop(key, None)
 
 
 # The factors depend on the pair alone, so each is built once; the outputs
@@ -479,7 +495,7 @@ def _bracket(left: GeneratorSymbol, right: GeneratorSymbol, profile) -> tuple:
 def _place_w(tail, letter) -> tuple:
     """Normal form of tail + (W[b],) for a normal tail, as (tail, d): W[b]
     goes after the last letter that `_in_order` accepts before it, with
-    coefficient _swap(d), d the sum of b - a over the W[a] it crosses.
+    coefficient _swap(d), d the gap: the sum of b - a over the W[a] it crosses.
 
     The W W relation has no fused term, so this is the leftmost reduction
     in closed form.  Distinct tails give distinct results.
@@ -508,18 +524,17 @@ def _insert_steps(tail, letter, profile):
     yields each (tail, letter) sub-insertion it needs and receives its
     result."""
     head, last = tail[:-1], tail[-1]
-    swap, fuse, fused = _pair_rule(last, letter, profile)
-    one = LaurentPoly.one(profile.nvars)
+    _, fuse, fused = _pair_rule(last, letter, profile)
+    gap = letter[1] - last[1]
     # tail*letter = head*(swap * letter*last + fuse * fused), both sides
     # rewritten leftmost first: head*letter before last is appended.
     out: dict = {}
-    for v, cv in (yield head, letter).items():
-        for w, d in (yield v, last).items():
-            _add_term(out, w, cv if d is one else cv * d)
-    out = {w: c * swap for w, c in out.items()}
+    for v, (cv, gv) in (yield head, letter).items():
+        for w, (d, gd) in (yield v, last).items():
+            _add_gapped(out, w, cv * d, gv + gd + gap, profile)
     if fuse is not None:
-        for w, d in (yield head, fused).items():
-            _add_term(out, w, fuse if d is one else fuse * d)
+        for w, (d, gd) in (yield head, fused).items():
+            _add_gapped(out, w, fuse * d, gd, profile)
     if len(_insert_cache) >= _INSERT_CACHE_SIZE:
         del _insert_cache[next(iter(_insert_cache))]
     _insert_cache[tail, letter, profile] = out
@@ -528,8 +543,8 @@ def _insert_steps(tail, letter, profile):
 
 def _insert(tail, letter, profile) -> dict:
     """Normal form of tail + (L[b],) for an L-only normal tail, as
-    {normal tail: coeff}; a pair already in order maps to itself with the
-    shared unit coefficient.
+    {normal tail: (coeff, gap)}, each term coeff * _swap(gap); a pair in
+    order maps to itself with the shared unit coefficient and gap 0.
 
     Every sub-insertion of the leftmost reduction stays in L-only tails.
     They run on an explicit stack, so the length of a word is not limited
@@ -539,7 +554,7 @@ def _insert(tail, letter, profile) -> dict:
     stack = []
     while True:
         if not tail or _in_order(tail[-1], letter):
-            result = {tail + (letter,): one}
+            result = {tail + (letter,): (one, 0)}
         else:
             result = _insert_cache.get((tail, letter, profile))
         if result is None:
@@ -559,11 +574,11 @@ def _insert(tail, letter, profile) -> dict:
 
 
 def _insert_l(tail, letter, profile) -> dict:
-    """Normal form of tail + (L[b],) for a normal tail, as {normal tail: coeff}.
+    """`_insert` for a normal tail, which may end in a W-block.
 
     L[b] crosses the W-block without changing it.  The leftmost reduction
     first inserts L[b] into the L-block, then appends the W letters back in
-    order: each W[a] takes its swap and adds the fused term of W[a] L[b],
+    order: each W[a] adds its gap and the fused term of W[a] L[b],
     W[a+b] placed after the tail's letters before W[a].  Terms come out in
     the order of the one-letter-at-a-time recursion.
     """
@@ -579,31 +594,29 @@ def _insert_l(tail, letter, profile) -> dict:
     state = _insert(tail[:j], letter, profile)
     for i, (w, (_, fuse, fused)) in enumerate(zip(tail[j:], rules), j):
         out: dict = {}
-        for u, c in state.items():
+        for u, (c, g) in state.items():
             u, d = _place_w(u, w)
-            d += b - w[1]  # the swap of W[a] L[b]
-            out[u] = c * _swap(d, profile) if d else c
+            out[u] = c, g + d + b - w[1]  # with the swap of W[a] L[b]
         if fuse is not None:
             u, d = _place_w(tail[:i], fused)
-            _add_term(out, u, fuse * _swap(d, profile) if d else fuse)
+            _add_gapped(out, u, fuse, d, profile)
         state = out
     return state
 
 
 def _fold(state: dict, letters, profile) -> dict:
     """Insert letters, left to right, into every tail of
-    {(T-power, normal tail): coeff}."""
-    one = LaurentPoly.one(profile.nvars)
+    {(T-power, normal tail): (coeff, gap)}, each term coeff * _swap(gap)."""
     for letter in letters:
         out: dict = {}
         if letter[0] == "W":
-            for (t, tail), c in state.items():
+            for (t, tail), (c, g) in state.items():
                 tail, d = _place_w(tail, letter)
-                out[t, tail] = c * _swap(d, profile) if d else c
+                out[t, tail] = c, g + d
         else:
-            for (t, tail), c in state.items():
-                for w, d in _insert_l(tail, letter, profile).items():
-                    _add_term(out, (t, w), c if d is one else c * d)
+            for (t, tail), (c, g) in state.items():
+                for w, (d, gd) in _insert_l(tail, letter, profile).items():
+                    _add_gapped(out, (t, w), c * d, g + gd, profile)
         state = out
     return state
 
@@ -615,10 +628,11 @@ def _letters(nw: NormalWord) -> tuple:
     )
 
 
-def _normal_words(state: dict) -> dict:
-    """{(T-power, normal tail): coeff} as {NormalWord: coeff}."""
+def _normal_words(state: dict, profile) -> dict:
+    """{(T-power, normal tail): (coeff, gap)} as {NormalWord: coeff}, each
+    gap applied once."""
     out = {}
-    for (t, tail), c in state.items():
+    for (t, tail), (c, g) in state.items():
         blocks = {"L": [], "W": []}
         i = 0
         while i < len(tail):
@@ -628,15 +642,17 @@ def _normal_words(state: dict) -> dict:
             kind, n = tail[i]
             blocks[kind].append((n, j - i))
             i = j
-        out[NormalWord(t, tuple(blocks["L"]), tuple(blocks["W"]))] = c
+        nw = NormalWord(t, tuple(blocks["L"]), tuple(blocks["W"]))
+        out[nw] = _shifted(c, g, profile) if g else c
     return out
 
 
 def normalize(word: Word, profile: DeformationProfile = STANDARD) -> Element:
     """Rewrite a free word of generator symbols into the normal basis."""
     exp, t_net, tail = _collect_t(tuple(word), profile)
-    front = LaurentPoly.q_power(exp, profile.nvars) if exp else LaurentPoly.one(profile.nvars)
-    return Element._raw(profile, _normal_words(_fold({(t_net, ()): front}, tail, profile)))
+    # The T-crossing q^exp is _swap(exp / 2): exp is a sum of even terms.
+    state = {(t_net, ()): (LaurentPoly.one(profile.nvars), exp // 2)}
+    return Element._raw(profile, _normal_words(_fold(state, tail, profile), profile))
 
 
 def _times_word(terms, nw2: NormalWord, profile) -> dict:
@@ -644,32 +660,29 @@ def _times_word(terms, nw2: NormalWord, profile) -> dict:
     {NormalWord: coeff}.
 
     nw2's T-power crosses each nw1's tail in closed form, the crossing
-    exponents summed over the tail; then nw2's ladder letters are inserted
-    into all the tails at once, so tails that meet merge before the next
-    letter.
+    exponents summed over the tail and carried as the gap exp / 2; then
+    nw2's ladder letters are inserted into all the tails at once, so tails
+    that meet merge before the next letter.
     """
     state = {}
     t2 = nw2.t_exp
     for nw1, coeff in terms:
+        exp = 0
         if t2:
             blocks = (nw1.l_block, nw1.w_block)
             exp = t2 * sum(_t_crossing(n, k) for block in blocks for n, k in block)
             if abs(exp) > EXPONENT_BOUND:
                 raise ArithmeticBoundError("T-collection exponent beyond the checked window")
-            if exp:
-                coeff = coeff * LaurentPoly.q_power(exp, profile.nvars)
-        state[nw1.t_exp + t2, _letters(nw1)] = coeff
-    return _normal_words(_fold(state, _letters(nw2), profile))
-
-
-def _word_product(nw1: NormalWord, nw2: NormalWord, profile, coeff: LaurentPoly) -> dict:
-    """coeff * nw1 * nw2 as {NormalWord: coeff}."""
-    return _times_word(((nw1, coeff),), nw2, profile)
+        state[nw1.t_exp + t2, _letters(nw1)] = coeff, exp // 2
+    return _normal_words(_fold(state, _letters(nw2), profile), profile)
 
 
 def multiply(x: Element, y: Element) -> Element:
     """Product of two Elements in the same profile, normally ordered."""
     x._require_same(y)
+    for a, b in ((x, y), (y, x)):
+        if len(a._terms) == 1 and UNIT_WORD in a._terms:  # a scalar
+            return b.scaled(a._terms[UNIT_WORD])
     profile = x.profile
     out: dict = {}
     for nw2, c2 in y._terms.items():

@@ -35,7 +35,7 @@ from .algebra import (
     _add_term,
     _bracket,
     _t_crossing,
-    _word_product,
+    _times_word,
     element_from,
     multiply,
     normalize,
@@ -103,11 +103,11 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     out: dict = {}
     for (a1, a2), c in u._terms.items():
         for (b1, b2), d in v._terms.items():
-            left = _word_product(a1, b1, STANDARD, c * d)
-            right = _word_product(a2, b2, STANDARD, one)
+            left = _times_word(((a1, c * d),), b1, STANDARD)
+            right = _times_word(((a2, one),), b2, STANDARD)
             for n1, f1 in left.items():
                 for n2, f2 in right.items():
-                    _add_term(out, (n1, n2), f1 if f2 is one else f1 * f2)
+                    _add_term(out, (n1, n2), f1 * f2)
     return TensorElement._raw(STANDARD, out)
 
 

@@ -11,9 +11,10 @@ exponent formulas cannot silently run away.
 Operands of different variable profiles never mix; that is a ProfileError,
 not a coercion.
 
-A product takes one of three paths, all in Python integers:
+A product takes one of four paths, all in Python integers:
 
-- monomial shift: a one-term operand shifts the other operand's keys;
+- short-circuit: a product by exactly 1 returns the other operand, shared;
+- shift: a one-term operand shifts the other's keys (`LaurentPoly.shifted`);
 - Kronecker product, the dense path: above _SMALL_PRODUCT coefficient
   pairs, each operand packs into one integer, with lanes along e_q, or
   along the total degree e_q + e_p when that span is smaller, as it is for
@@ -139,27 +140,32 @@ def _mul_terms_kronecker(a: dict, b: dict):
     return out
 
 
+def _check_window(terms: dict) -> dict:
+    bound = EXPONENT_BOUND
+    for eq, ep in terms:
+        if not (-bound <= eq <= bound and -bound <= ep <= bound):
+            _check_exponent(eq)
+            _check_exponent(ep)
+    return terms
+
+
+def _shift_terms(terms: dict, eq: int, ep: int, c: int = 1) -> dict:
+    """terms times the monomial c q^eq p^ep: the keys shift, no term collects."""
+    return _check_window({(eq + qb, ep + pb): c * cb for (qb, pb), cb in terms.items()})
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
-        # A monomial shifts the other operand's keys: no term collects.
         ((qa, pa), ca), = a.items()
-        out = {(qa + qb, pa + pb): ca * cb for (qb, pb), cb in b.items()}
-    else:
-        out = None
-        if len(a) * len(b) > _SMALL_PRODUCT:
-            out = _mul_terms_kronecker(a, b)
-        if out is None:
-            out = _mul_terms_small(a, b)
-    bound = EXPONENT_BOUND
-    for eq, ep in out:
-        if not (-bound <= eq <= bound and -bound <= ep <= bound):
-            _check_exponent(eq)
-            _check_exponent(ep)
-    return out
+        return _shift_terms(b, qa, pa, ca)
+    out = _mul_terms_kronecker(a, b) if len(a) * len(b) > _SMALL_PRODUCT else None
+    if out is None:
+        out = _mul_terms_small(a, b)
+    return _check_window(out)
 
 
 class LaurentPoly:
@@ -231,7 +237,7 @@ class LaurentPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0): 1}
+        return self._terms == _UNIT_TERMS
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -296,9 +302,19 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other._terms == _UNIT_TERMS:
+            return self
+        if self._terms == _UNIT_TERMS:
+            return other
         return _wrap(_mul_terms(self._terms, other._terms), self.nvars)
 
     __rmul__ = __mul__
+
+    def shifted(self, eq: int, ep: int = 0) -> "LaurentPoly":
+        """self * q^eq p^ep, without building the monomial."""
+        if ep and self.nvars == 1:
+            raise ProfileError("p-exponent in a one-variable polynomial")
+        return _wrap(_shift_terms(self._terms, eq, ep), self.nvars)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -425,6 +441,7 @@ def _wrap(terms: dict, nvars: int) -> LaurentPoly:
     return poly
 
 
+_UNIT_TERMS = {(0, 0): 1}
 _ZERO = {1: LaurentPoly({}, 1), 2: LaurentPoly({}, 2)}
 _ONE = {1: LaurentPoly({(0, 0): 1}, 1), 2: LaurentPoly({(0, 0): 1}, 2)}
 

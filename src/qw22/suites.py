@@ -50,6 +50,13 @@ class SuiteBounds:
     seed: int = 0
     cases: int = 200
 
+    def __post_init__(self):
+        for name in ("max_index", "max_len", "cases"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.k_range[0] > self.k_range[1]:
+            raise ValueError("empty k_range {}..{}".format(*self.k_range))
+
 
 @dataclass
 class CheckReport:

@@ -259,30 +259,76 @@ def _accumulate(out, key, c):
         out.pop(key, None)
 
 
-def _reference_normalize(word, profile, memo) -> list:
-    """Ordered (NormalWord, coeff) terms of a T-free word, folded letter by
-    letter through `_reference_insert`."""
-    state = {(): LaurentPoly.one(profile.nvars)}
+def _ladder(word) -> tuple:
+    """The L and W letters of a word: (kind, index) pairs, as in a tail."""
+    return tuple(sym for sym in word if sym.kind in ("L", "W"))
+
+
+def _reference_fold(state, word, profile, memo) -> dict:
+    """Fold the letters of a word, left to right, into every tail of
+    {(T-power, tail): coeff}: a ladder letter through `_reference_insert`,
+    and T^s across a tail with q^e, e the sum of `_t_crossing` over the
+    tail's letters."""
     for sym in word:
         out = {}
-        for tail, c in state.items():
-            for w, d in _reference_insert(tail, (sym.kind, sym.index), profile, memo).items():
-                _accumulate(out, w, c * d)
+        if sym.kind in ("T", "Tinv"):
+            s = 1 if sym.kind == "T" else -1
+            for (t, tail), c in state.items():
+                e = sum(algebra._t_crossing(n, s) for _, n in tail)
+                out[t + s, tail] = c * LaurentPoly.q_power(e, profile.nvars)
+        else:
+            for (t, tail), c in state.items():
+                for w, d in _reference_insert(tail, (sym.kind, sym.index), profile, memo).items():
+                    _accumulate(out, (t, w), c * d)
         state = out
+    return state
+
+
+def _reference_terms(state) -> list:
+    """{(T-power, normal tail): coeff} as ordered (NormalWord, coeff) terms."""
     terms = []
-    for tail, c in state.items():
+    for (t, tail), c in state.items():
         blocks = {"L": [], "W": []}
         for (kind, n), run in itertools.groupby(tail):
             blocks[kind].append((n, len(list(run))))
-        terms.append((NormalWord(0, tuple(blocks["L"]), tuple(blocks["W"])), c))
+        terms.append((NormalWord(t, tuple(blocks["L"]), tuple(blocks["W"])), c))
     return terms
+
+
+def _reference_normalize(word, profile, memo) -> list:
+    """Ordered (NormalWord, coeff) terms of a word: each T^s first crosses
+    the ladder letters before it in the word, then the ladder letters fold
+    in through `_reference_insert`."""
+    t = e = 0
+    for i, sym in enumerate(word):
+        if sym.kind in ("T", "Tinv"):
+            s = 1 if sym.kind == "T" else -1
+            t += s
+            e += sum(algebra._t_crossing(n, s) for _, n in _ladder(word[:i]))
+    state = {(t, ()): LaurentPoly.q_power(e, profile.nvars)}
+    return _reference_terms(_reference_fold(state, _ladder(word), profile, memo))
+
+
+def _reference_multiply(x, y, memo) -> list:
+    """Ordered terms of x * y: each term of y, in order, folded into all the
+    terms of x at once, the results summed."""
+    out = {}
+    for nw2, c2 in y._terms.items():
+        state = {
+            (nw1.t_exp, _ladder(nw1.generator_sequence())): c1 * c2
+            for nw1, c1 in x._terms.items()
+        }
+        state = _reference_fold(state, nw2.generator_sequence(), x.profile, memo)
+        for nw, c in _reference_terms(state):
+            _accumulate(out, nw, c)
+    return list(out.items())
 
 
 def test_normalize_matches_the_one_rule_recursion():
     """Same terms, same coefficients and the same term order as the generic
-    recursion: exhaustively up to four letters, and on long W-runs that the
-    closed-form W placement and the single pass through the W-block
-    shortcut."""
+    recursion: exhaustively up to four ladder letters, up to three letters
+    with T-powers, and on long W-runs that the closed-form W placement and
+    the single pass through the W-block shortcut."""
     letters = [L(n) for n in range(-2, 3)] + [W(n) for n in range(-2, 3)]
     words = [w for size in range(5) for w in itertools.product(letters, repeat=size)]
     words += [
@@ -290,42 +336,76 @@ def test_normalize_matches_the_one_rule_recursion():
         (W(4),) * 100 + (W(-3),),
         (L(2),) + (W(3),) * 50 + (L(-1),),
     ]
-    for profile in (S, G):
+    t_words = [w for w in itertools.product(letters + [T, T_INV], repeat=3) if {T, T_INV} & set(w)]
+    for profile, extra in ((S, t_words), (G, [])):
         memo = {}
-        for word in words:
+        for word in words + extra:
             got = list(normalize(word, profile)._terms.items())
             assert got == _reference_normalize(word, profile, memo), word
 
 
+def test_multiply_matches_the_one_rule_recursion():
+    """multiply against the recursion, term order included: every pair of
+    normal words of up to two letters and a scalar, and multi-term left
+    factors whose terms meet on one tail with different swap and
+    T-crossing factors."""
+    letters = [T, T_INV] + [L(n) for n in range(-2, 3)] + [W(n) for n in range(-2, 3)]
+    words = [
+        w for size in range(3) for w in itertools.product(letters, repeat=size) if is_normal(w)
+    ]
+    for profile in (S, G):
+        memo = {}
+        allowed = [w for w in words if profile is S or not {T, T_INV} & set(w)]
+        elements = [normalize(w, profile) for w in allowed]
+        elements.append(Element.unit(profile).scaled(q_int(3, profile.nvars)))
+        lefts = elements + [
+            normalize(w, profile)
+            for w in [(L(2), L(1)), (W(1), L(-1), L(-2)), (L(1), W(2), L(-1), L(-2))]
+        ]
+        lefts.append(lefts[-1] + lefts[-2] + lefts[-3])
+        if profile is S:
+            lefts += [normalize((T, L(2), L(1)), S) + normalize((L(3), L(0), T_INV), S)]
+        for x in lefts:
+            for y in elements:
+                got = list(multiply(x, y)._terms.items())
+                assert got == _reference_multiply(x, y, memo), (x, y)
+
+
 # Work of (xy)z and x(yz) on the heaviest triple of an associator benchmark
 # round, every cache cold: nontrivial insertions of an L letter into an
-# L-only tail, and Laurent products.
+# L-only tail, Laurent products, and Laurent shifts (swap factors and
+# T-crossings carried as integer gaps and applied once).
 ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
-ASSOC_WORK_CEILINGS = {"(xy)z": (85, 2012), "x(yz)": (70, 2430)}
+ASSOC_WORK_CEILINGS = {"(xy)z": (85, 571, 457), "x(yz)": (70, 794, 629)}
 
 
 def test_associator_work_counts(monkeypatch):
     """Counted work, not time: W letters are placed in closed form, so only
-    L-block insertions reach the memoized recursion."""
-    insertions, products = [], []
+    L-block insertions reach the memoized recursion; swap factors are
+    shifts, not products, and products by one are not made."""
+    insertions, products, shifts = [], [], []
     real_steps, real_mul = algebra._insert_steps, laurent._mul_terms
+    real_shifted = LaurentPoly.shifted
     monkeypatch.setattr(
         algebra, "_insert_steps", lambda *a: insertions.append(1) or real_steps(*a)
     )
     monkeypatch.setattr(laurent, "_mul_terms", lambda a, b: products.append(1) or real_mul(a, b))
+    monkeypatch.setattr(
+        LaurentPoly, "shifted", lambda p, *a: shifts.append(1) or real_shifted(p, *a)
+    )
     counts = {}
     for grouping in ASSOC_WORK_CEILINGS:
         algebra._insert_cache.clear()
         algebra._pair_rule.cache_clear()
-        insertions.clear()
-        products.clear()
+        for work in (insertions, products, shifts):
+            work.clear()
         x, y, z = (element_from(w) for w in ASSOC_TRIPLE)
         product = multiply(multiply(x, y), z) if grouping == "(xy)z" else multiply(x, multiply(y, z))
         assert not product.is_zero()
-        counts[grouping] = (len(insertions), len(products))
+        counts[grouping] = (len(insertions), len(products), len(shifts))
     assert all(
-        counts[g][0] <= ins and counts[g][1] <= mul
-        for g, (ins, mul) in ASSOC_WORK_CEILINGS.items()
+        all(n <= ceiling for n, ceiling in zip(counts[g], ceilings))
+        for g, ceilings in ASSOC_WORK_CEILINGS.items()
     ), counts
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import qw22
 from qw22.cli import main
+from qw22.suites import SuiteBounds
 
 
 def run(argv, env=None):
@@ -186,6 +187,24 @@ def test_negative_bounds_are_usage_errors(suite, flag, value):
     code, out, err = run(["check", suite, flag, value])
     assert (code, out) == (2, "")
     assert f"argument {flag}: must be nonnegative, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_index", -2, "max_index must be nonnegative, got -2"),
+        ("max_len", -1, "max_len must be nonnegative, got -1"),
+        ("cases", -5, "cases must be nonnegative, got -5"),
+        ("k_range", (5, -5), "empty k_range 5..-5"),
+    ],
+)
+def test_suite_bounds_reject_invalid_fields(field, value, message):
+    # Through the Python API these once crashed in randrange, or ran no
+    # case (or a reversed k-range) and passed.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SuiteBounds(**{field: value})
+    # zero and a one-point range stay valid
+    SuiteBounds(max_index=0, max_len=0, cases=0, k_range=(3, 3))
 
 
 def test_cocommutativity_is_not_a_failure():

@@ -102,6 +102,34 @@ def test_profiles_never_mix():
         q_int(2) + q_int(2, 2)
     with pytest.raises(ProfileError):
         q_int(2) * LaurentPoly.p_power(1)
+    # a one of the other profile is no shortcut past the profile check
+    for a, b in ((q_int(3), LaurentPoly.one(2)), (q_int(3, 2), LaurentPoly.one(1))):
+        with pytest.raises(ProfileError):
+            a * b
+        with pytest.raises(ProfileError):
+            b * a
+
+
+def test_products_by_one_share_the_other_operand():
+    for nvars in (1, 2):
+        p = q_int(4, nvars) + LaurentPoly.q_power(-7, nvars)
+        for one in (LaurentPoly.one(nvars), LaurentPoly.constant(1, nvars), 1):
+            assert p * one is p
+            assert one * p is p
+
+
+def test_shifted_is_a_product_by_a_monomial():
+    rng = random.Random(17)
+    for nvars in (1, 2):
+        for _ in range(60):
+            p = rand_poly(rng, nvars)
+            eq = rng.randint(-9, 9)
+            ep = rng.randint(-9, 9) if nvars == 2 else 0
+            got = p.shifted(eq, ep)
+            assert got.nvars == nvars
+            assert got == p * LaurentPoly.monomial(1, eq, ep, nvars=nvars)
+    with pytest.raises(ProfileError):
+        q_int(2).shifted(1, 1)
 
 
 def test_q_int_anchor_values():
@@ -452,19 +480,26 @@ def test_coefficients_near_2_to_the_200(operands):
     st.sampled_from(["q+", "q-", "p+", "p-"]),
 )
 def test_monomial_shift_checks_the_exponent_window(terms, margin, edge):
-    # a monomial at `margin` inside one end of the window, times a polynomial
+    # a monomial at `margin` inside one end of the window, times a
+    # polynomial, and the same shift by `shifted`
     bound = laurent.EXPONENT_BOUND
     e = bound - margin if edge[1] == "+" else -(bound - margin)
-    m = LaurentPoly.monomial(-3, *((e, 0) if edge[0] == "q" else (0, e)), nvars=2)
+    shift = (e, 0) if edge[0] == "q" else (0, e)
+    m = LaurentPoly.monomial(-3, *shift, nvars=2)
     poly = LaurentPoly(terms, 2)
+    cases = [
+        (lambda: m * poly, m),
+        (lambda: poly * m, m),
+        (lambda: poly.shifted(*shift), LaurentPoly.monomial(1, *shift, nvars=2)),
+    ]
     out = [(e + eq, ep) if edge[0] == "q" else (eq, e + ep) for eq, ep in terms]
     if all(abs(x) <= bound for key in out for x in key):
-        assert m * poly == poly * m == pair_loop_product(m, poly)
+        for result, monomial in cases:
+            assert result() == pair_loop_product(monomial, poly)
     else:
-        with pytest.raises(ArithmeticBoundError, match="left the checked 64-bit window"):
-            m * poly
-        with pytest.raises(ArithmeticBoundError):
-            poly * m
+        for result, _ in cases:
+            with pytest.raises(ArithmeticBoundError, match="left the checked 64-bit window"):
+                result()
 
 
 def test_eval_at_one_sums_the_coefficients():

@@ -327,12 +327,12 @@ def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
 # Laurent products of one oracle_consistency call over grades -8..8, with
 # every cache cold: the normal form, the ladder weights and the comparison.
 ORACLE_PRODUCT_CEILINGS = {
-    ("L[3] L[4] L[2] L[0] L[-5]", C): 207,
-    ("L[3] L[4] L[2] L[0] L[-5]", Q): 1368,
-    ("L[3] L[4] L[2] L[0] L[-5]", P2): 1368,
-    ("W[2] L[-3] L[5] L[1]", C): 60,
-    ("W[2] L[-3] L[5] L[1]", Q): 446,
-    ("W[2] L[-3] L[5] L[1]", P2): 446,
+    ("L[3] L[4] L[2] L[0] L[-5]", C): 91,
+    ("L[3] L[4] L[2] L[0] L[-5]", Q): 1236,
+    ("L[3] L[4] L[2] L[0] L[-5]", P2): 1236,
+    ("W[2] L[-3] L[5] L[1]", C): 37,
+    ("W[2] L[-3] L[5] L[1]", Q): 407,
+    ("W[2] L[-3] L[5] L[1]", P2): 407,
 }
 
 
