@@ -50,6 +50,9 @@ _SMALL_PRODUCT = 96
 # Lane cap of the Kronecker product: wider operands take the pair loop.
 _MAX_DENSE_SPAN = 1 << 16
 
+# Lanes that `_pack` adds one by one before it packs in runs.
+_PACK_RUN = 64
+
 
 def _check_exponent(e: int) -> int:
     if e > EXPONENT_BOUND or e < -EXPONENT_BOUND:
@@ -75,11 +78,24 @@ def _mul_terms_small(a: dict, b: dict) -> dict:
 
 def _pack(lanes, coeffs, bits: int) -> int:
     """One operand as a single integer: coefficient c in lane i adds
-    c * 2**(bits * i)."""
-    x = 0
-    for i, c in zip(lanes, coeffs):
-        x += c << (bits * i)
-    return x
+    c * 2**(bits * i).  Each add copies the integer built so far, so past
+    _PACK_RUN lanes the sorted lanes are packed in runs, each against its
+    first lane, and the runs joined pairwise: near-linear, not quadratic."""
+    if len(lanes) <= _PACK_RUN:
+        x = 0
+        for i, c in zip(lanes, coeffs):
+            x += c << (bits * i)
+        return x
+    coeffs = list(coeffs)
+    order = sorted(range(len(lanes)), key=lanes.__getitem__)
+    runs = []
+    for j in range(0, len(order), _PACK_RUN):
+        run, base = order[j:j + _PACK_RUN], lanes[order[j]]
+        runs.append((base, _pack([lanes[o] - base for o in run], [coeffs[o] for o in run], bits)))
+    while len(runs) > 1:
+        pairs = zip(runs[::2], runs[1::2])
+        runs = [(b, x + (y << bits * (c - b))) for (b, x), (c, y) in pairs] + runs[len(runs) & ~1:]
+    return runs[0][1] << (bits * runs[0][0])
 
 
 def _mul_terms_kronecker(a: dict, b: dict):
@@ -315,6 +331,15 @@ class LaurentPoly:
         if ep and self.nvars == 1:
             raise ProfileError("p-exponent in a one-variable polynomial")
         return _wrap(_shift_terms(self._terms, eq, ep), self.nvars)
+
+    def kronecker_image(self, bits: int, stride: int = 1) -> tuple:
+        """The image at q = X^stride, p = X^(stride + 1), X = 2^bits, as
+        (n, e) meaning n X^e: q^a p^b lands in lane b + stride (a + b).  A
+        ring homomorphism, injective where coefficients are below
+        2^(bits - 1) in size and p-exponents span less than stride."""
+        lanes = [ep + stride * (eq + ep) for eq, ep in self._terms]
+        e = min(lanes, default=0)
+        return _pack([i - e for i in lanes], self._terms.values(), bits), e
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

@@ -20,7 +20,7 @@ module action: only the T-free subalgebra is represented.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -66,6 +66,14 @@ GRADE_CAP = INDEX_CAP
 class FockLabel(NamedTuple):
     k: int
     eps: int
+
+
+def _grade_window(k_range) -> tuple:
+    """(lo, hi) of a grade window; an empty one raises ValueError."""
+    lo, hi = k_range
+    if lo > hi:
+        raise ValueError(f"empty k_range {lo}..{hi}")
+    return lo, hi
 
 
 def _check_grade(k: int) -> int:
@@ -326,10 +334,10 @@ def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
 
     rel is an id string or a tuple (id, indices...): "boson", "fermion",
     "qboson", "gboson", ("qd", n), ("gqd", n), ("LE", m, n), ("qLE", m, n),
-    ("gq", m, n); an unknown id or a wrong number of indices raises
-    ValueError, an id of another profile ProfileError.  Returns
-    (ok, witness) with a printed counterexample."""
-    lo, hi = k_range
+    ("gq", m, n); an unknown id, a wrong number of indices or an empty
+    window raises ValueError, an id of another profile ProfileError.
+    Returns (ok, witness) with a printed counterexample."""
+    lo, hi = _grade_window(k_range)
     sides = list(_relation_sides(rel, profile))
     for k in range(lo, hi + 1):
         for eps in (0, 1):
@@ -344,26 +352,39 @@ def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
     return True, None
 
 
-def _path_weights(weight, one):
-    """A per-call table of path weights: the returned function maps a grade
-    path to the product of weight(g) along it, in acting order.
+def _walk(letters, k: int, eps: int):
+    """Follow the label |k, eps> through T-free letters in acting order,
+    checking each step's grade as `apply_generator` does.  Returns the
+    grades whose weights it picks up and its end label, or None where it
+    dies: at lambda_0 = 0, or where a W meets an occupied vector."""
+    grades = []
+    for kind, n in letters:
+        if not k or (eps and kind == "W"):
+            return None
+        grades.append(k)
+        k = _check_grade(k + n)
+        eps |= kind == "W"
+    return grades, (k, eps)
 
-    The table is a trie of acting-order prefixes, {g: (product, children)},
-    filled one prefix at a time, so each new entry costs one product with a
-    single weight and every path sharing a prefix reuses it.
-    """
-    root: dict = {}
 
-    def product(grades):
-        w, node = one, root
-        for g in grades:
-            entry = node.get(g)
-            if entry is None:
-                entry = node[g] = (w * weight(g), {})
-            w, node = entry
-        return w
+def _image_bounds(raw, terms, lo: int, hi: int, nvars: int) -> tuple:
+    """(B, S) for an image injective on every difference the call compares.
 
-    return product
+    lambda_g has l1 norm |g| and p-exponents in [-|g|, |g|], and a path
+    through m letters meets grades of size at most G, the window's largest
+    plus the letters' |indices| (and at most GRADE_CAP).  So a difference has
+    l1 norm at most G^m + sum_t |c_t|_1 G_t^m_t, and p-exponents within the
+    larger of m G and |p-exponent of c_t| + m_t G_t."""
+    def reach(letters):
+        return min(max(abs(lo), abs(hi)) + sum(abs(n) for _, n in letters), GRADE_CAP)
+
+    g = reach(raw)
+    size, span = g ** len(raw), len(raw) * g
+    for letters, c in terms:
+        g = reach(letters)
+        size += sum(map(abs, c._terms.values())) * g ** len(letters)
+        span = max(span, max(abs(ep) for _, ep in c._terms) + len(letters) * g)
+    return size.bit_length() + 1, 2 * span + 1 if nvars == 2 else 1
 
 
 def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple:
@@ -371,53 +392,58 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
     every basis vector in range.  The classical profile compares both sides
     of the standard normal form at q = 1.
 
-    Evaluation at q = 1 is a ring homomorphism, so the classical comparison
-    specializes each factor first: the normal form's coefficients and the
-    q-deformed weights lambda_g(1) are integers before any product.  Each
-    basis vector is followed through a word in integers, as `apply_word`
-    and `apply_element` do, with the same checks in the same order; a
-    path's weight comes from one table per call, shared by the raw word,
-    both occupancies and every normal-form term.
+    Each label |k, eps> is walked through the raw word, then through each
+    normal-form term, with the grade checks of `apply_word` and
+    `apply_element` in their order.  Values are exact integer images n X^e
+    under q -> X^S, p -> X^(S+1), X = 2^B, a ring homomorphism, injective on
+    every difference compared (`_image_bounds`): the verdicts and witnesses
+    are those of the full polynomial comparison.  The classical profile
+    evaluates every factor at q = 1 instead, also a homomorphism (B = 0).
     """
     word = tuple(word)
     for sym in word:
         if sym.kind not in ("L", "W"):
             raise ProfileError("oracle words must be T-free")
-    lo, hi = k_range
-    letters = word[::-1]
+    lo, hi = _grade_window(k_range)
+    nf = normalize(word, _REWRITE_FOR.get(profile, DeformationProfile.STANDARD))
+    raw = word[::-1]
+    terms = [(list(_acting_letters(nw)), c) for nw, c in nf._terms.items()]
     if profile is CLASSICAL:
-        nf = normalize(word, DeformationProfile.STANDARD)
-        terms = [(list(_acting_letters(nw)), int(c.eval(1))) for nw, c in nf._terms.items()]
-        direct_weight = _path_weights(lambda g: ladder_weight(CLASSICAL, g).constant_value(), 1)
-        nf_weight = _path_weights(lambda g: int(ladder_weight(Q_DEFORMED, g).eval(1)), 1)
+        bits = 0
+        image = lambda c: (sum(c._terms.values()), 0)
+        direct_weight = cache(lambda g: (ladder_weight(CLASSICAL, g).constant_value(), 0))
+        nf_weight = cache(lambda g: image(ladder_weight(Q_DEFORMED, g)))
     else:
-        nf = normalize(word, _REWRITE_FOR[profile])
-        terms = [(list(_acting_letters(nw)), c) for nw, c in nf._terms.items()]
-        direct_weight = nf_weight = _path_weights(
-            lambda g: ladder_weight(profile, g), LaurentPoly.one(profile.nvars)
-        )
+        bits, stride = _image_bounds(raw, terms, lo, hi, profile.nvars)
+        image = lambda c: c.kronecker_image(bits, stride)
+        direct_weight = nf_weight = cache(lambda g: image(ladder_weight(profile, g)))
+    # The raw word with sign +1 first, then the normal form's terms negated.
+    sides = [(raw, direct_weight, (1, 0))] + [(t, nf_weight, image(-c)) for t, c in terms]
     for k in range(lo, hi + 1):
+        _check_grade(k)
         for eps in (0, 1):
-            v = basis_vector(profile, k, eps)
-            direct = {
-                FockLabel(k2, e2): direct_weight(grades)
-                for k2, e2, _, grades in _follow(letters, v._terms)
-            }
-            via_nf: dict = {}
-            for nw_letters, c in terms:
-                for k2, e2, _, grades in _follow(nw_letters, v._terms):
-                    _add_term(via_nf, FockLabel(k2, e2), nf_weight(grades) * c)
-            if direct != via_nf:
-                shown = apply_word(word, v)
+            delta = {}  # the image of direct - via normal form, per end label
+            for letters, weight, (n, e) in sides:
+                walked = _walk(letters, k, eps)
+                if walked is None:
+                    continue
+                grades, label = walked
+                for g in grades:
+                    wn, we = weight(g)
+                    n *= wn
+                    e += we
+                if label in delta:  # a sum aligns to the smaller exponent
+                    m, f = delta[label]
+                    if e > f:
+                        n, e, m, f = m, f, n, e
+                    n += m << bits * (f - e)
+                delta[label] = n, e
+            if any(n for n, _ in delta.values()):
+                v = basis_vector(profile, k, eps)
+                shown = f"word {word_text(word)} on |{k},{eps}>: direct = {apply_word(word, v)}"
                 if profile is CLASSICAL:
-                    return False, (
-                        f"word {word_text(word)} on |{k},{eps}>: "
-                        f"direct = {shown}, normal form at q=1 differs"
-                    )
-                return False, (
-                    f"word {word_text(word)} on |{k},{eps}>: "
-                    f"direct = {shown}, via normal form = {ModuleVector._raw(profile, via_nf)}"
-                )
+                    return False, f"{shown}, normal form at q=1 differs"
+                return False, f"{shown}, via normal form = {apply_element(nf, v)}"
     return True, None
 
 

@@ -54,8 +54,7 @@ class SuiteBounds:
         for name in ("max_index", "max_len", "cases"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.k_range[0] > self.k_range[1]:
-            raise ValueError("empty k_range {}..{}".format(*self.k_range))
+        osc._grade_window(self.k_range)
 
 
 @dataclass

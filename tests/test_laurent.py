@@ -253,6 +253,30 @@ def test_dense_products_cross_check_the_fast_path():
             assert a * b == pair_loop_product(a, b)
 
 
+def test_long_operands_pack_as_the_plain_sum():
+    """Past _PACK_RUN lanes, `_pack` packs sorted runs and joins them: the
+    same integer as the plain sum of shifted coefficients, in any order."""
+    rng = random.Random(5)
+    for n in (laurent._PACK_RUN, laurent._PACK_RUN + 1, 200, 1000):
+        lanes = rng.sample(range(3 * n), n)
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 2**20) for _ in lanes]
+        plain = sum(c << (23 * i) for i, c in zip(lanes, coeffs))
+        assert laurent._pack(lanes, coeffs, 23) == plain
+
+
+def test_kronecker_image_is_the_value_at_a_power_of_two():
+    """(n, e) = a.kronecker_image(bits, stride) means n X^e = a at
+    q = X^stride, p = X^(stride + 1), X = 2^bits."""
+    rng = random.Random(8)
+    for nvars, stride in ((1, 1), (2, 1), (2, 13)):
+        for bits in (1, 7, 30):
+            for _ in range(20):
+                a = rand_poly(rng, nvars, terms=6)
+                n, e = a.kronecker_image(bits, stride)
+                x = Fraction(2) ** bits
+                assert n * x**e == a.eval(x**stride, x ** (stride + 1) if nvars == 2 else None)
+
+
 def test_huge_coefficients_stay_exact():
     # far beyond int64 after squaring: the lanes widen to hold the
     # coefficients, so the product stays on the Kronecker path

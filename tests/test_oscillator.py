@@ -1,5 +1,6 @@
 """The graded ladder module and the independent relation oracle."""
 
+import functools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from qw22 import (
     oracle_consistency,
     q_int,
 )
-from qw22.oscillator import GRADE_CAP
+from qw22.oscillator import GRADE_CAP, word_text
 
 C = OscillatorProfile.CLASSICAL
 Q = OscillatorProfile.Q_DEFORMED
@@ -51,6 +52,16 @@ def test_ladder_weights():
     # two-param lowering weight p^-k (q^k - p^k)/(q - p)
     assert str(ladder_weight(P2, 1)) == "p^-1"
     assert str(ladder_weight(P2, 3)) == "q^2*p^-3 + q*p^-2 + p^-1"
+
+
+def test_ladder_weight_bound_premises():
+    """The premises of the oracle's integer image: lambda_g has l1 norm |g|
+    and p-exponents in [-|g|, |g|], in every profile."""
+    for prof in (C, Q, P2):
+        for g in range(-200, 201):
+            terms = ladder_weight(prof, g).items()
+            assert sum(abs(c) for _, c in terms) == abs(g)
+            assert all(-abs(g) <= ep <= abs(g) for (_, ep), _ in terms)
 
 
 def test_ladder_actions():
@@ -202,6 +213,12 @@ def test_ladder_identities_check_the_fused_index():
                 check_relation((name, m, n), prof, (0, 0))
 
 
+def test_check_relation_rejects_an_empty_window():
+    with pytest.raises(ValueError, match=r"^empty k_range 5\.\.-5$"):
+        check_relation("boson", C, (5, -5))
+    assert check_relation("boson", C, (0, 0)) == (True, None)
+
+
 # -- the oracle -------------------------------------------------------------------
 
 
@@ -210,6 +227,12 @@ def test_oracle_anchor_words():
     for prof in (C, Q, P2):
         assert oracle_consistency((W(1), W(0)), prof, (-8, 8)) == (True, None)
     assert oracle_consistency((W(0), L(3), L(-1)), Q, (-8, 8)) == (True, None)
+
+
+def test_oracle_rejects_an_empty_window():
+    with pytest.raises(ValueError, match=r"^empty k_range 5\.\.-5$"):
+        oracle_consistency((L(2), L(1)), Q, (5, -5))
+    assert oracle_consistency((L(2), L(1)), Q, (0, 0)) == (True, None)
 
 
 def test_oracle_rejects_t():
@@ -296,6 +319,148 @@ def test_oracle_rejects_a_corrupted_normal_form(monkeypatch, prof, edit):
     assert oracle_consistency(word, prof, (0, 2)) == (witness is None, witness)
 
 
+def reference_oracle(word, prof, k_range):
+    """The full polynomial comparison oracle_consistency stands for:
+    apply_word against apply_element of the normal form it sees, basis
+    vector by basis vector; the classical profile compares at q = 1."""
+    rewrite = DeformationProfile.GENERALIZED if prof is P2 else DeformationProfile.STANDARD
+    nf = oscillator.normalize(word, rewrite)
+    for k in range(k_range[0], k_range[1] + 1):
+        for eps in (0, 1):
+            v = basis_vector(prof, k, eps)
+            direct = apply_word(word, v)
+            shown = f"word {word_text(word)} on |{k},{eps}>: direct = {direct}"
+            if prof is C:
+                if direct.at_q_one() != apply_element(nf, basis_vector(Q, k, eps)).at_q_one():
+                    return False, f"{shown}, normal form at q=1 differs"
+            elif direct != apply_element(nf, v):
+                return False, f"{shown}, via normal form = {apply_element(nf, v)}"
+    return True, None
+
+
+def corrupt_with(monkeypatch):
+    """corrupt_normal_forms with a swappable edit: set box[0] to an edit,
+    or to None for the true normal form."""
+    box = [None]
+    corrupt_normal_forms(monkeypatch, lambda terms, profile: box[0] and box[0](terms, profile))
+    return box
+
+
+@pytest.mark.parametrize("prof", (Q, P2), ids=lambda p: p.value)
+def test_oracle_catches_a_term_that_vanishes_at_a_power_of_two(monkeypatch, prof):
+    """q^(e+1) p^f - 2^b q^e p^f vanishes under q -> 2^b (one variable) or
+    X^S = 2^b (two): the image's lane width grows with the coefficient's l1
+    norm, so none of them hides."""
+    word, window = (L(2), L(1)), (0, 2)
+    box = corrupt_with(monkeypatch)
+    for b in range(1, 97):
+
+        def add_root(terms, profile, b=b):
+            nw = last_term(terms)
+            (eq, ep), _ = terms[nw].items()[-1]
+            root = LaurentPoly({(eq + 1, ep): 1, (eq, ep): -(2**b)}, profile.nvars)
+            terms[nw] = terms[nw] + root
+
+        box[0] = add_root
+        expected = reference_oracle(word, prof, window)
+        assert expected[0] is False
+        assert oracle_consistency(word, prof, window) == expected
+
+
+def test_oracle_catches_a_term_moved_along_the_stride(monkeypatch):
+    """q^a p^b -> q^(a-s-1) p^(b+s) keeps the lane b + S (a + b) when S = s:
+    the stride is read from the corrupted coefficient's own p-exponents, so
+    every such move is caught."""
+    word, window = (L(2), W(-1), L(1)), (-3, 3)
+    box = corrupt_with(monkeypatch)
+    for s in range(1, 65):
+
+        def move(terms, profile, s=s):
+            nw = last_term(terms)
+            (a, b), c = terms[nw].items()[0]
+            moved = LaurentPoly({(a - s - 1, b + s): c, (a, b): -c}, 2)
+            terms[nw] = terms[nw] + moved
+
+        box[0] = move
+        expected = reference_oracle(word, P2, window)
+        assert expected[0] is False
+        assert oracle_consistency(word, P2, window) == expected
+
+
+def test_oracle_stride_covers_the_raw_word(monkeypatch):
+    """A letterless normal form c whose p-exponents span less than the raw
+    word's: c is the raw action on |k, eps> with its lowest p-power q^a p^-P
+    moved to q^(a-2P) p^(P-1), which shares its lane when the stride is read
+    from c alone (S = 2P - 1).  The stride covers the raw word too."""
+    word, k = (L(1), L(-1)), 3
+    direct = apply_word(word, basis_vector(P2, k, 0)).terms()[0][1]
+    (a, b), _ = min(direct.items(), key=lambda t: t[0][1])
+    moved = LaurentPoly({(a - 2 * -b, -b - 1): 1, (a, b): -1}, 2)
+
+    def replace(terms, profile):
+        terms.clear()
+        terms[NormalWord()] = direct + moved
+
+    corrupt_normal_forms(monkeypatch, replace)
+    expected = reference_oracle(word, P2, (k, k))
+    assert expected[0] is False
+    assert oracle_consistency(word, P2, (k, k)) == expected
+
+
+def test_oracle_image_bounds_stay_within_the_grade_cap(monkeypatch):
+    """A window far past the cap raises at its first grade.  The image's
+    bounds are read with grades clamped to the cap, so a coefficient that is
+    not homogeneous does not pack into an image as wide as the window."""
+    def spread(terms, profile):
+        for nw, c in terms.items():
+            terms[nw] = c * (1 + LaurentPoly.q_power(1, 2))
+
+    corrupt_normal_forms(monkeypatch, spread)
+    with pytest.raises(ArithmeticBoundError, match=rf"^grade {-2**60} beyond cap"):
+        oracle_consistency((L(2), L(1)), P2, (-2**60, 0))
+
+
+def test_oracle_matches_the_polynomial_comparison(monkeypatch):
+    """Seeded differential test against reference_oracle: verdict and
+    witness, on true normal forms and on single-term corruptions."""
+    rng = random.Random(113)
+    syms = [L(n) for n in range(-4, 5)] + [W(n) for n in range(-4, 5)]
+    box = corrupt_with(monkeypatch)
+
+    def corruption(prof, pick, kind):
+        def edit(terms, profile):
+            if not terms:
+                return
+            nw = list(terms)[pick % len(terms)]
+            if kind == "drop":
+                del terms[nw]
+                return
+            factor = {
+                "flip": LaurentPoly.constant(-1, prof.nvars),
+                "q": LaurentPoly.q_power(1, prof.nvars),
+                "1/q": LaurentPoly.q_power(-1, prof.nvars),
+                "p": LaurentPoly.monomial(1, 0, 1, 2),
+                "1/p": LaurentPoly.monomial(1, 0, -1, 2),
+            }[kind]
+            terms[nw] = terms[nw] * factor
+
+        return edit
+
+    caught = 0
+    for prof in (C, Q, P2):
+        kinds = ["flip", "drop", "q", "1/q"] + (["p", "1/p"] if prof is P2 else [])
+        for _ in range(120):
+            word = tuple(rng.choice(syms) for _ in range(rng.randint(0, 4)))
+            lo = rng.randint(-5, 3)
+            window = (lo, lo + rng.randint(0, 5))
+            for edit in (None, corruption(prof, rng.randrange(8), rng.choice(kinds))):
+                box[0] = edit
+                expected = reference_oracle(word, prof, window)
+                assert oracle_consistency(word, prof, window) == expected, (word, prof, window)
+                caught += not expected[0]
+    assert caught > 200, caught
+
+
 def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
     """The first (k, eps) of the window to leave the cap raises, the raw word
     before the normal form and the normal form's terms in their order.  The
@@ -322,39 +487,69 @@ def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
         # the true term comes first in the normal form
         with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
             oracle_consistency(word, prof, (top - 3, top))
+    monkeypatch.undo()
+    # a window starting past the cap raises at its start grade, before any
+    # walk and before any weight is built
+    monkeypatch.setattr(oscillator, "ladder_weight", lambda *args: pytest.fail("built a weight"))
+    for prof in (C, Q, P2):
+        for word in ((), (L(-1),), (W(1), W(2))):
+            with pytest.raises(ArithmeticBoundError, match=rf"^grade {top + 1} beyond cap {top}$"):
+                oracle_consistency(word, prof, (top + 1, top + 1))
+            with pytest.raises(ArithmeticBoundError, match=rf"^grade {-top - 1} beyond cap {top}$"):
+                oracle_consistency(word, prof, (-top - 1, 0))
 
 
 # Laurent products of one oracle_consistency call over grades -8..8, with
-# every cache cold: the normal form, the ladder weights and the comparison.
+# every cache cold: the normal form and one ladder weight per grade met.
 ORACLE_PRODUCT_CEILINGS = {
     ("L[3] L[4] L[2] L[0] L[-5]", C): 91,
-    ("L[3] L[4] L[2] L[0] L[-5]", Q): 1236,
-    ("L[3] L[4] L[2] L[0] L[-5]", P2): 1236,
+    ("L[3] L[4] L[2] L[0] L[-5]", Q): 96,
+    ("L[3] L[4] L[2] L[0] L[-5]", P2): 96,
     ("W[2] L[-3] L[5] L[1]", C): 37,
-    ("W[2] L[-3] L[5] L[1]", Q): 407,
-    ("W[2] L[-3] L[5] L[1]", P2): 407,
+    ("W[2] L[-3] L[5] L[1]", Q): 37,
+    ("W[2] L[-3] L[5] L[1]", P2): 37,
+}
+ORACLE_WORDS = {
+    "L[3] L[4] L[2] L[0] L[-5]": (L(3), L(4), L(2), L(0), L(-5)),
+    "W[2] L[-3] L[5] L[1]": (W(2), L(-3), L(5), L(1)),
 }
 
 
-def test_oracle_product_counts(monkeypatch):
-    """Counted work, not time: the classical profile multiplies integers
-    after evaluating at q = 1, and a path weight is built once per call."""
-    words = {
-        "L[3] L[4] L[2] L[0] L[-5]": (L(3), L(4), L(2), L(0), L(-5)),
-        "W[2] L[-3] L[5] L[1]": (W(2), L(-3), L(5), L(1)),
-    }
+def count_products(monkeypatch) -> list:
+    """A list that gains one entry per Laurent product from here on."""
     products = []
     real = laurent._mul_terms
     monkeypatch.setattr(laurent, "_mul_terms", lambda a, b: products.append(1) or real(a, b))
+    return products
+
+
+def test_oracle_product_counts(monkeypatch):
+    """Counted work, not time: only normalize and ladder_weight multiply
+    Laurent polynomials; the comparison runs on integer images."""
+    products = count_products(monkeypatch)
     counts = {}
     for text, prof in ORACLE_PRODUCT_CEILINGS:
         algebra._insert_cache.clear()
         algebra._pair_rule.cache_clear()
         ladder_weight.cache_clear()
         products.clear()
-        assert oracle_consistency(words[text], prof, (-8, 8)) == (True, None)
+        assert oracle_consistency(ORACLE_WORDS[text], prof, (-8, 8)) == (True, None)
         counts[text, prof] = len(products)
     assert all(counts[key] <= ceiling for key, ceiling in ORACLE_PRODUCT_CEILINGS.items()), counts
+
+
+def test_the_oracle_comparison_makes_no_laurent_product(monkeypatch):
+    """With the normal form and the ladder weights at hand, a call makes no
+    Laurent product at all."""
+    monkeypatch.setattr(oscillator, "normalize", functools.cache(oscillator.normalize))
+    for word in ORACLE_WORDS.values():
+        for prof in (C, Q, P2):
+            oracle_consistency(word, prof, (-8, 8))
+    products = count_products(monkeypatch)
+    for word in ORACLE_WORDS.values():
+        for prof in (C, Q, P2):
+            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
+    assert not products
 
 
 def test_apply_element_is_multiplicative():
