@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ArithmeticBoundError, ProfileError
-from .laurent import EXPONENT_BOUND, LaurentPoly, q_int
+from .laurent import EXPONENT_BOUND, LaurentPoly, from_image, q_int
 
 # Generator indices stay inside this cap so exponent formulas like
 # -2(n+1)m keep well within the checked 64-bit exponent window.
@@ -99,14 +99,16 @@ class NormalWord:
     def is_unit(self) -> bool:
         return not (self.t_exp or self.l_block or self.w_block)
 
-    def is_t_free(self) -> bool:
-        return self.t_exp == 0
-
-    def t_free_part(self) -> "NormalWord":
-        return NormalWord(0, self.l_block, self.w_block)
-
     def sort_key(self):
         return (self.t_exp, self.l_block, self.w_block)
+
+    @cached_property
+    def letters(self) -> tuple:
+        """The ladder letters in order, as (kind, index) pairs."""
+        return tuple(
+            (kind, n) for kind, block in (("L", self.l_block), ("W", self.w_block))
+            for n, k in block for _ in range(k)
+        )
 
     def generator_sequence(self) -> Word:
         syms = []
@@ -422,31 +424,52 @@ def _r_power(e: int, profile):
     return LaurentPoly.q_power(-e) if profile is STANDARD else LaurentPoly.p_power(e)
 
 
-def _swap(d: int, profile):
-    """The swap factor of a letter X[b] moved left across letters X[a], for
-    the gap d = sum(b - a): q^d r^-d, that is q^(2d) in the standard
-    profile and q^d p^-d in the generalized one.  It is multiplicative in
-    d, so a whole run of crossings is one gap, applied by `_shifted`."""
-    if profile is STANDARD:
-        return LaurentPoly.q_power(2 * d)
-    return LaurentPoly.monomial(1, d, -d, nvars=2)
+# -- the fold's exact integer images ------------------------------------------
+#
+# A coefficient c rides through the fold as (n, e, l): n X^e = phi(c) for
+# the ring homomorphism phi: q -> X (standard, lanes along e_q) or q -> 1,
+# p -> X (generalized, along e_p), X = 2^bits, and l bounds the l1 norm of
+# c.  The second is injective on one total degree, and its relation factors
+# are homogeneous, so a key holds kappa, the final degree less len(tail),
+# and the bucket of 2^16 input lanes, so that q^(2^62) + 1 packs small.
+_LANE_BITS = 64
 
 
-def _shifted(c: LaurentPoly, d: int, profile) -> LaurentPoly:
-    """c * _swap(d, profile), as a shift of c's exponents."""
-    return c.shifted(2 * d, 0) if profile is STANDARD else c.shifted(d, -d)
+def _bucket(lane: int) -> int:
+    return (lane + (1 << 15)) >> 16
 
 
-def _add_gapped(out: dict, key, c, g: int, profile) -> None:
-    """out[key] += c * _swap(g) on a sparse {key: (coeff, gap)} map,
-    dropping zeros; a term meeting one of another gap is shifted to it."""
+def _image(c: LaurentPoly, bits: int) -> tuple:
+    return (*c.kronecker_image(bits, 2 - c.nvars), sum(map(abs, c._terms.values())))
+
+
+def _pieces(c: LaurentPoly, bits: int) -> list:
+    """c's image as pieces ((degree, bucket), n, e, l), one per total degree
+    (0 with one variable) and bucket of lanes."""
+    terms, two = c._terms, c.nvars == 2
+    if len(terms) == 1:  # a monomial, packed without a loop
+        ((eq, ep), v), = terms.items()
+        lane = ep if two else eq
+        return [((eq + ep if two else 0, _bucket(lane)), v, lane, abs(v))]
+    if not two and _bucket(min(terms)[0]) == _bucket(max(terms)[0]):  # one piece
+        return [((0, _bucket(min(terms)[0])), *_image(c, bits))]
+    parts: dict = {}
+    for (eq, ep), v in terms.items():
+        parts.setdefault((eq + ep, _bucket(ep)) if two else (0, _bucket(eq)), {})[eq, ep] = v
+    return [(k, *_image(LaurentPoly(part, c.nvars), bits)) for k, part in parts.items()]
+
+
+def _add_image(out: dict, key, n: int, e: int, l: int, bits: int) -> None:
+    """out[key] += n X^e of l1 bound l.  n == 0 proves a term zero only where
+    l < 2^(bits - 1); a zero past that stays, and `_exact` runs wider."""
     prev = out.get(key)
     if prev is not None:
-        pc, g0 = prev
-        c = pc + (c if g == g0 else _shifted(c, g - g0, profile))
-        g = g0
-    if c:
-        out[key] = c, g
+        m, f, k = prev
+        if e > f:
+            n, m, e, f = m, n, f, e
+        n, l = n + (m << bits * (f - e)), l + k
+    if n or l >> (bits - 1):
+        out[key] = n, e, l
     else:
         out.pop(key, None)
 
@@ -454,7 +477,7 @@ def _add_gapped(out: dict, key, c, g: int, profile) -> None:
 # The factors depend on the pair alone, so each is built once; the outputs
 # are immutable.  Only L L and W L pairs reach it from the normalizer.  The
 # bound is fixed from measurement: two rounds of the associator benchmark
-# meet about 510 distinct pairs, two of the oracle benchmark about 400.
+# meet about 510 distinct pairs, two of the oracle benchmark about 460.
 @lru_cache(maxsize=1024)
 def _pair_rule(left, right, profile):
     """The defining relation of two adjacent letters, the one table of
@@ -470,11 +493,19 @@ def _pair_rule(left, right, profile):
     only swaps.
     """
     (k1, a), (k2, b) = left, right
-    swap = _swap(b - a, profile)
+    d = b - a
+    swap = LaurentPoly({(2 * d, 0) if profile is STANDARD else (d, -d): 1}, profile.nvars)
     fuse = _r_power(a - b, profile) * q_int(b - a, profile.nvars)
     if k2 != "L" or not fuse:
         return swap, None, None
     return swap, fuse, (k1, _check_index(a + b))
+
+
+@lru_cache(maxsize=1024)
+def _fuse_image(left, right, profile, bits):
+    """`_pair_rule`'s fuse factor as (n, e, l, fused), or None; sized alike."""
+    _, fuse, fused = _pair_rule(left, right, profile)
+    return None if fuse is None else (*_image(fuse, bits), fused)
 
 
 def _bracket(left: GeneratorSymbol, right: GeneratorSymbol, profile) -> tuple:
@@ -494,8 +525,8 @@ def _bracket(left: GeneratorSymbol, right: GeneratorSymbol, profile) -> tuple:
 
 def _place_w(tail, letter) -> tuple:
     """Normal form of tail + (W[b],) for a normal tail, as (tail, d): W[b]
-    goes after the last letter that `_in_order` accepts before it, with
-    coefficient _swap(d), d the gap: the sum of b - a over the W[a] it crosses.
+    goes after the last letter that `_in_order` accepts before it, with the
+    swap factor of the gap d, the sum of b - a over the W[a] it crosses.
 
     The W W relation has no fused term, so this is the leftmost reduction
     in closed form.  Distinct tails give distinct results.
@@ -510,55 +541,55 @@ def _place_w(tail, letter) -> tuple:
 
 
 # Bounded memo of nontrivial insertions of an L letter into an L-only tail,
-# keyed by (tail, letter, profile), oldest entry evicted first.  The size is
-# fixed from measurement on the benchmark workloads: an entry holds about
-# 1.5 kB on associator products and 0.9 kB on the oscillator oracle's words;
-# about seven lookups in ten hit on the first, four in ten on the second,
-# and an oracle round fills fewer than half of the entries.
+# keyed by (tail, letter, profile, lane width), oldest entry evicted first.
+# The size is fixed from measurement on the benchmark workloads: an entry
+# holds about 0.9 kB on associator products and 0.8 kB on the oscillator
+# oracle's words; about seven lookups in ten hit on the first, four in ten
+# on the second, and an oracle round fills about half of the entries.
 _INSERT_CACHE_SIZE = 512
 _insert_cache: dict = {}
 
 
-def _insert_steps(tail, letter, profile):
+def _insert_steps(tail, letter, profile, bits):
     """One nontrivial insertion into an L-only tail, as a coroutine that
     yields each (tail, letter) sub-insertion it needs and receives its
     result."""
     head, last = tail[:-1], tail[-1]
-    _, fuse, fused = _pair_rule(last, letter, profile)
-    gap = letter[1] - last[1]
+    fuse = _fuse_image(last, letter, profile, bits)
+    swap = (letter[1] - last[1]) * (2 if profile is STANDARD else -1)
     # tail*letter = head*(swap * letter*last + fuse * fused), both sides
     # rewritten leftmost first: head*letter before last is appended.
     out: dict = {}
-    for v, (cv, gv) in (yield head, letter).items():
-        for w, (d, gd) in (yield v, last).items():
-            _add_gapped(out, w, cv * d, gv + gd + gap, profile)
+    for v, (n, e, l) in (yield head, letter).items():
+        for w, (m, f, k) in (yield v, last).items():
+            _add_image(out, w, n * m, e + f + swap, l * k, bits)
     if fuse is not None:
-        for w, (d, gd) in (yield head, fused).items():
-            _add_gapped(out, w, fuse * d, gd, profile)
+        n, e, l, fused = fuse
+        for w, (m, f, k) in (yield head, fused).items():
+            _add_image(out, w, n * m, e + f, l * k, bits)
     if len(_insert_cache) >= _INSERT_CACHE_SIZE:
         del _insert_cache[next(iter(_insert_cache))]
-    _insert_cache[tail, letter, profile] = out
+    _insert_cache[tail, letter, profile, bits] = out
     return out
 
 
-def _insert(tail, letter, profile) -> dict:
+def _insert(tail, letter, profile, bits) -> dict:
     """Normal form of tail + (L[b],) for an L-only normal tail, as
-    {normal tail: (coeff, gap)}, each term coeff * _swap(gap); a pair in
-    order maps to itself with the shared unit coefficient and gap 0.
+    {normal tail: image (n, e, l)}; a pair in order maps to itself with the
+    unit image.
 
     Every sub-insertion of the leftmost reduction stays in L-only tails.
     They run on an explicit stack, so the length of a word is not limited
     by Python's recursion limit.
     """
-    one = LaurentPoly.one(profile.nvars)
     stack = []
     while True:
         if not tail or _in_order(tail[-1], letter):
-            result = {tail + (letter,): (one, 0)}
+            result = {tail + (letter,): (1, 0, 1)}
         else:
-            result = _insert_cache.get((tail, letter, profile))
+            result = _insert_cache.get((tail, letter, profile, bits))
         if result is None:
-            stack.append(_insert_steps(tail, letter, profile))
+            stack.append(_insert_steps(tail, letter, profile, bits))
             request = next(stack[-1])
         else:
             while stack:  # hand the result to the insertion waiting for it
@@ -573,7 +604,7 @@ def _insert(tail, letter, profile) -> dict:
         tail, letter = request
 
 
-def _insert_l(tail, letter, profile) -> dict:
+def _insert_l(tail, letter, profile, bits) -> dict:
     """`_insert` for a normal tail, which may end in a W-block.
 
     L[b] crosses the W-block without changing it.  The leftmost reduction
@@ -586,95 +617,102 @@ def _insert_l(tail, letter, profile) -> dict:
     while j and tail[j - 1][0] == "W":
         j -= 1
     if j == len(tail):
-        return _insert(tail, letter, profile)
+        return _insert(tail, letter, profile, bits)
     # Build the crossed pairs' relations in the recursion's order, last W
     # first, so an index beyond the cap is reported for the same pair.
-    rules = [_pair_rule(w, letter, profile) for w in reversed(tail[j:])][::-1]
-    b = letter[1]
-    state = _insert(tail[:j], letter, profile)
-    for i, (w, (_, fuse, fused)) in enumerate(zip(tail[j:], rules), j):
+    fuses = [_fuse_image(w, letter, profile, bits) for w in reversed(tail[j:])][::-1]
+    gap, b = 2 if profile is STANDARD else -1, letter[1]
+    state = _insert(tail[:j], letter, profile, bits)
+    for i, (w, fuse) in enumerate(zip(tail[j:], fuses), j):
         out: dict = {}
-        for u, (c, g) in state.items():
+        for u, (n, e, l) in state.items():
             u, d = _place_w(u, w)
-            out[u] = c, g + d + b - w[1]  # with the swap of W[a] L[b]
+            out[u] = n, e + gap * (d + b - w[1]), l  # with the swap of W[a] L[b]
         if fuse is not None:
+            n, e, l, fused = fuse
             u, d = _place_w(tail[:i], fused)
-            _add_gapped(out, u, fuse, d, profile)
+            _add_image(out, u, n, e + gap * d, l, bits)
         state = out
     return state
 
 
-def _fold(state: dict, letters, profile) -> dict:
-    """Insert letters, left to right, into every tail of
-    {(T-power, normal tail): (coeff, gap)}, each term coeff * _swap(gap)."""
+def _fold(state: dict, letters, profile, bits) -> dict:
+    """Insert letters, left to right, into every tail of the image state
+    {(T-power, normal tail, (kappa, bucket)): (n, e, l)}."""
+    gap = 2 if profile is STANDARD else -1  # a swap gap d has the image X^(gap d)
     for letter in letters:
         out: dict = {}
         if letter[0] == "W":
-            for (t, tail), (c, g) in state.items():
+            for (t, tail, k), (n, e, l) in state.items():
                 tail, d = _place_w(tail, letter)
-                out[t, tail] = c, g + d
+                out[t, tail, k] = n, e + gap * d, l
         else:
-            for (t, tail), (c, g) in state.items():
-                for w, (d, gd) in _insert_l(tail, letter, profile).items():
-                    _add_gapped(out, (t, w), c * d, g + gd, profile)
+            for (t, tail, k), (n, e, l) in state.items():
+                for w, (m, f, h) in _insert_l(tail, letter, profile, bits).items():
+                    _add_image(out, (t, w, k), n * m, e + f, l * h, bits)
         state = out
     return state
 
 
-def _letters(nw: NormalWord) -> tuple:
-    return tuple(
-        (kind, n) for kind, block in (("L", nw.l_block), ("W", nw.w_block))
-        for n, k in block for _ in range(k)
-    )
-
-
-def _normal_words(state: dict, profile) -> dict:
-    """{(T-power, normal tail): (coeff, gap)} as {NormalWord: coeff}, each
-    gap applied once."""
-    out = {}
-    for (t, tail), (c, g) in state.items():
-        blocks = {"L": [], "W": []}
-        i = 0
+def _exact(fold, args, profile, bits: int = _LANE_BITS) -> dict:
+    """fold(*args, bits) decoded to {NormalWord: coeff}.  If an l1 bound
+    reaches 2^(bits - 1), it runs once more past the largest bound."""
+    state, nvars, out = fold(*args, bits), profile.nvars, {}
+    for (t, tail, (kappa, _)), (n, e, l) in state.items():
+        if l >> (bits - 1):  # no bound depends on bits, so one rerun decodes
+            bits = max(l for _, _, l in state.values()).bit_length() + 2
+            return _exact(fold, args, profile, bits)
+        c = from_image(n, e, bits, nvars, kappa + len(tail))
+        blocks, i = {"L": [], "W": []}, 0
         while i < len(tail):
             j = i + 1
             while j < len(tail) and tail[j] == tail[i]:
                 j += 1
-            kind, n = tail[i]
-            blocks[kind].append((n, j - i))
+            blocks[tail[i][0]].append((tail[i][1], j - i))
             i = j
-        nw = NormalWord(t, tuple(blocks["L"]), tuple(blocks["W"]))
-        out[nw] = _shifted(c, g, profile) if g else c
+        lb, wb = tuple(blocks["L"]), tuple(blocks["W"])
+        if abs(t) > EXPONENT_BOUND:
+            raise ArithmeticBoundError("T-power beyond the checked window")
+        # A normal, capped tail needs no __post_init__ checks; keep its letters.
+        nw = object.__new__(NormalWord)
+        nw.__dict__.update(t_exp=t, l_block=lb, w_block=wb, letters=tail)
+        size = len(out)
+        out.setdefault(nw, c)
+        if len(out) == size:  # the same word at another kappa or bucket
+            _add_term(out, nw, c)
     return out
 
 
 def normalize(word: Word, profile: DeformationProfile = STANDARD) -> Element:
     """Rewrite a free word of generator symbols into the normal basis."""
     exp, t_net, tail = _collect_t(tuple(word), profile)
-    # The T-crossing q^exp is _swap(exp / 2): exp is a sum of even terms.
-    state = {(t_net, ()): (LaurentPoly.one(profile.nvars), exp // 2)}
-    return Element._raw(profile, _normal_words(_fold(state, tail, profile), profile))
+    start = {(t_net, (), (-len(tail) if profile is GENERALIZED else 0, 0)): (1, exp, 1)}
+    return Element._raw(profile, _exact(_fold, (start, tail, profile), profile))
 
 
-def _times_word(terms, nw2: NormalWord, profile) -> dict:
-    """The sum of coeff * nw1 * nw2 over the (nw1, coeff) of terms, as
-    {NormalWord: coeff}.
-
-    nw2's T-power crosses each nw1's tail in closed form, the crossing
-    exponents summed over the tail and carried as the gap exp / 2; then
-    nw2's ladder letters are inserted into all the tails at once, so tails
-    that meet merge before the next letter.
-    """
-    state = {}
-    t2 = nw2.t_exp
-    for nw1, coeff in terms:
-        exp = 0
-        if t2:
-            blocks = (nw1.l_block, nw1.w_block)
-            exp = t2 * sum(_t_crossing(n, k) for block in blocks for n, k in block)
+def _product_state(lefts, rights, profile, bits) -> dict:
+    """The image state of the sum of c1 c2 nw1 nw2 over the terms (nw1, c1)
+    of lefts and (nw2, c2) of rights.  Per right term, nw2's T-power crosses
+    each tail in closed form, then its letters go into all tails at once."""
+    xs = [(nw1, nw1.letters, _pieces(c1, bits)) for nw1, c1 in lefts]
+    out: dict = {}
+    for nw2, c2 in rights:
+        t2, w2, ys = nw2.t_exp, nw2.letters, _pieces(c2, bits)
+        state: dict = {}
+        for nw1, w1, x in xs:
+            exp = t2 and t2 * sum(_t_crossing(n, k) for n, k in nw1.l_block + nw1.w_block)
             if abs(exp) > EXPONENT_BOUND:
                 raise ArithmeticBoundError("T-collection exponent beyond the checked window")
-        state[nw1.t_exp + t2, _letters(nw1)] = coeff, exp // 2
-    return _normal_words(_fold(state, _letters(nw2), profile), profile)
+            size, b = len(w1) + len(w2) if profile is GENERALIZED else 0, _bucket(exp)
+            for (d1, b1), n1, e1, l1 in x:
+                for (d2, b2), n2, e2, l2 in ys:
+                    key = (nw1.t_exp + t2, w1, (d1 + d2 - size, b1 + b2 + b))
+                    _add_image(state, key, n1 * n2, e1 + e2 + exp, l1 * l2, bits)
+        state = _fold(state, w2, profile, bits)
+        for key, (n, e, l) in state.items() if out else ():
+            _add_image(out, key, n, e, l, bits)
+        out = out or state
+    return out
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -683,13 +721,8 @@ def multiply(x: Element, y: Element) -> Element:
     for a, b in ((x, y), (y, x)):
         if len(a._terms) == 1 and UNIT_WORD in a._terms:  # a scalar
             return b.scaled(a._terms[UNIT_WORD])
-    profile = x.profile
-    out: dict = {}
-    for nw2, c2 in y._terms.items():
-        terms = ((nw1, c1 * c2) for nw1, c1 in x._terms.items())
-        for nw, c in _times_word(terms, nw2, profile).items():
-            _add_term(out, nw, c)
-    return Element._raw(profile, out)
+    args = (x._terms.items(), y._terms.items(), x.profile)
+    return Element._raw(x.profile, _exact(_product_state, args, x.profile))
 
 
 def q_bracket(x: Element, y: Element, alpha: LaurentPoly, beta: LaurentPoly) -> Element:

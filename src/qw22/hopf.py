@@ -34,8 +34,9 @@ from .algebra import (
     _add_scaled,
     _add_term,
     _bracket,
+    _exact,
+    _product_state,
     _t_crossing,
-    _times_word,
     element_from,
     multiply,
     normalize,
@@ -103,8 +104,8 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     out: dict = {}
     for (a1, a2), c in u._terms.items():
         for (b1, b2), d in v._terms.items():
-            left = _times_word(((a1, c * d),), b1, STANDARD)
-            right = _times_word(((a2, one),), b2, STANDARD)
+            left = _exact(_product_state, (((a1, c),), ((b1, d),), STANDARD), STANDARD)
+            right = _exact(_product_state, (((a2, one),), ((b2, one),), STANDARD), STANDARD)
             for n1, f1 in left.items():
                 for n2, f2 in right.items():
                     _add_term(out, (n1, n2), f1 * f2)

@@ -371,18 +371,151 @@ def test_multiply_matches_the_one_rule_recursion():
                 assert got == _reference_multiply(x, y, memo), (x, y)
 
 
-# Work of (xy)z and x(yz) on the heaviest triple of an associator benchmark
-# round, every cache cold: nontrivial insertions of an L letter into an
-# L-only tail, Laurent products, and Laurent shifts (swap factors and
-# T-crossings carried as integer gaps and applied once).
-ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
-ASSOC_WORK_CEILINGS = {"(xy)z": (85, 571, 457), "x(yz)": (70, 794, 629)}
+def test_generalized_relation_factors_are_homogeneous():
+    """The generalized fold packs one total degree per integer image: every
+    swap factor has degree 0 and every fuse factor degree -1."""
+    letters = [("L", n) for n in range(-6, 7)] + [("W", n) for n in range(-6, 7)]
+    for left, right in itertools.product(letters, [("L", n) for n in range(-6, 7)] + letters[13:]):
+        swap, fuse, _ = algebra._pair_rule(left, right, G)
+        assert {eq + ep for eq, ep in swap._terms} == {0}
+        assert fuse is None or {eq + ep for eq, ep in fuse._terms} == {-1}
 
 
-def test_associator_work_counts(monkeypatch):
-    """Counted work, not time: W letters are placed in closed form, so only
-    L-block insertions reach the memoized recursion; swap factors are
-    shifts, not products, and products by one are not made."""
+def _folds_at(monkeypatch) -> list:
+    """A list that gains the lane width of every fold from here on."""
+    widths = []
+    real = algebra._fold
+    monkeypatch.setattr(algebra, "_fold", lambda *a: widths.append(a[-1]) or real(*a))
+    return widths
+
+
+def test_coefficients_past_the_lane_width_force_one_wider_run(monkeypatch):
+    """A coefficient above 2^63 cannot be read back from 64-bit lanes, so
+    the product runs once more, wider, and matches the recursion."""
+    widths = _folds_at(monkeypatch)
+    for profile in (S, G):
+        big = LaurentPoly.monomial(2**100 + 1, 1, 0, nvars=profile.nvars)
+        x = element_from(L(1), profile).scaled(big + 1)
+        y = normalize((L(-1), L(2)), profile)
+        widths.clear()
+        got = list(multiply(x, y)._terms.items())
+        assert got == _reference_multiply(x, y, {})
+        assert widths[0] == 64 and len(widths) == 2 and widths[1] > 101, widths
+
+
+def test_coefficients_across_lane_boundaries():
+    """Digits next to each other with opposite signs borrow across lanes:
+    +-(2^63 - 1) beside -+1, -1 beside +1, and 2^64 - q, whose image at
+    64-bit lanes is 0 although it is not."""
+    top = 2**63 - 1
+    y = normalize((L(-1), L(2), W(1)))
+    for a, b in ((top, -1), (-top, 1), (-1, 1), (1, -1), (2**64, -1)):
+        for profile in (S, G):
+            nv = profile.nvars
+            c = LaurentPoly({(0, 0): a, (1, -1) if nv == 2 else (1, 0): b}, nv)
+            x = element_from((L(1), L(-2)), profile).scaled(c)
+            yy = y if profile is S else normalize((L(-1), L(2), W(1)), G)
+            assert list(multiply(x, yy)._terms.items()) == _reference_multiply(x, yy, {})
+
+
+def test_sparse_coefficients_pack_by_bucket():
+    """A coefficient whose exponents lie far apart packs one integer per
+    bucket of lanes, not one as wide as its span; the pieces meet again
+    when decoded."""
+    for profile in (S, G):
+        nv = profile.nvars
+        far = (2**20, 0) if nv == 1 else (-(2**20), 2**20)
+        c = LaurentPoly({far: 3, (0, 0): 1, (-3, 0): -2}, nv)
+        x = element_from((L(1), W(2)), profile).scaled(c)
+        y = normalize((L(-1), L(2)), profile)
+        for left, right in ((x, y), (y, x), (x + y, x)):
+            assert list(multiply(left, right)._terms.items()) == _reference_multiply(left, right, {})
+
+
+def test_generalized_products_of_mixed_degrees():
+    """Terms of different total degree never share an integer image: a
+    coefficient mixing degrees, and a sum whose terms start at different
+    kappa, both against the recursion."""
+    c = LaurentPoly({(1, 0): 1, (0, 3): 1, (-2, 1): 1}, 2)
+    x = normalize((L(2), W(1)), G).scaled(c)
+    y = normalize((L(-1), L(3)), G)
+    mixed = normalize((L(2), L(1)), G) + normalize((W(1), L(-1), L(-2)), G)
+    mixed = mixed + normalize((L(3),), G).scaled(c)
+    for left, right in ((x, y), (y, x), (mixed, y), (y, mixed), (mixed, mixed)):
+        assert list(multiply(left, right)._terms.items()) == _reference_multiply(left, right, {})
+
+
+def _random_coefficient(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (rng.randint(-4, 4), rng.randint(-3, 3) if nvars == 2 else 0)
+        terms[key] = rng.choice((-1, 1)) * rng.randint(1, 2**rng.choice((3, 40, 70)))
+    return LaurentPoly(terms, nvars)
+
+
+def test_seeded_differential_check_with_polynomial_coefficients():
+    """normalize and multiply against the recursion, in both profiles, and
+    tensor_multiply against slotwise products, on elements with multi-term
+    coefficients of all sizes."""
+    rng = random.Random(2024)
+    one = LaurentPoly.one()
+    for profile in (S, G):
+        syms = [L(n) for n in range(-3, 4)] + [W(n) for n in range(-3, 4)]
+        syms += [T, T_INV] if profile is S else []
+        memo = {}
+
+        def word(size):
+            return tuple(rng.choice(syms) for _ in range(size))
+
+        def element():
+            terms = [
+                element_from(word(rng.randint(1, 3)), profile).scaled(
+                    _random_coefficient(rng, profile.nvars)
+                )
+                for _ in range(2)
+            ]
+            return terms[0] + terms[1]
+
+        for _ in range(40):
+            w = word(rng.randint(0, 5))
+            got = list(normalize(w, profile)._terms.items())
+            assert got == _reference_normalize(w, profile, memo)
+            x, y = element(), element()
+            assert list(multiply(x, y)._terms.items()) == _reference_multiply(x, y, memo)
+            if profile is S:
+                u, v = tensor_of(x, y), tensor_of(y, x)
+                expected = {}
+                for (a1, a2), c in u._terms.items():
+                    for (b1, b2), d in v._terms.items():
+                        left = multiply(Element(S, {a1: c}), Element(S, {b1: d}))
+                        right = multiply(Element(S, {a2: one}), Element(S, {b2: one}))
+                        for key, f in tensor_of(left, right)._terms.items():
+                            _accumulate(expected, key, f)
+                assert (u * v)._terms == expected
+
+
+def test_t_crossings_at_the_edge_of_the_exponent_window():
+    """A T-crossing landing on +-(2^63 - 1) returns; one step past raises."""
+    edge = 2**63 - 1
+    for s in (1, -1):
+        t = element_from(NormalWord(t_exp=s * (2**62 - 1)))
+        inside = element_from(L(0)).scaled(LaurentPoly.q_power(s))
+        ((nw, c),) = multiply(inside, t).terms()
+        assert c == LaurentPoly.q_power(s * edge) and nw.l_block == ((0, 1),)
+        outside = element_from(L(0)).scaled(LaurentPoly.q_power(2 * s))
+        with pytest.raises(ArithmeticBoundError, match="left the checked 64-bit window"):
+            multiply(outside, t)
+
+
+def _cold_caches():
+    algebra._insert_cache.clear()
+    algebra._pair_rule.cache_clear()
+    algebra._fuse_image.cache_clear()
+
+
+def _count_work(monkeypatch) -> tuple:
+    """Lists that gain one entry per nontrivial insertion, Laurent product
+    and Laurent shift from here on."""
     insertions, products, shifts = [], [], []
     real_steps, real_mul = algebra._insert_steps, laurent._mul_terms
     real_shifted = LaurentPoly.shifted
@@ -393,20 +526,49 @@ def test_associator_work_counts(monkeypatch):
     monkeypatch.setattr(
         LaurentPoly, "shifted", lambda p, *a: shifts.append(1) or real_shifted(p, *a)
     )
+    return insertions, products, shifts
+
+
+# Work of (xy)z and x(yz) on the heaviest triple of an associator benchmark
+# round, every cache cold: nontrivial insertions of an L letter into an
+# L-only tail, Laurent products, and Laurent shifts.  The fold carries
+# integer images, so its only products build the relation factors.
+ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
+ASSOC_WORK_CEILINGS = {"(xy)z": (85, 39, 0), "x(yz)": (70, 59, 0)}
+
+
+def test_associator_work_counts(monkeypatch):
+    """Counted work, not time: W letters are placed in closed form, so only
+    L-block insertions reach the memoized recursion; coefficients are
+    integer images, so swap factors and merges make no Laurent product."""
+    work = _count_work(monkeypatch)
     counts = {}
     for grouping in ASSOC_WORK_CEILINGS:
-        algebra._insert_cache.clear()
-        algebra._pair_rule.cache_clear()
-        for work in (insertions, products, shifts):
-            work.clear()
+        _cold_caches()
+        for w in work:
+            w.clear()
         x, y, z = (element_from(w) for w in ASSOC_TRIPLE)
         product = multiply(multiply(x, y), z) if grouping == "(xy)z" else multiply(x, multiply(y, z))
         assert not product.is_zero()
-        counts[grouping] = (len(insertions), len(products), len(shifts))
+        counts[grouping] = tuple(map(len, work))
     assert all(
         all(n <= ceiling for n, ceiling in zip(counts[g], ceilings))
         for g, ceilings in ASSOC_WORK_CEILINGS.items()
     ), counts
+
+
+def test_products_of_normal_forms_make_no_laurent_arithmetic(monkeypatch):
+    """With the relation factors at hand, multiply of two normal forms makes
+    no Laurent product and no shift: the fold runs on integer images."""
+    x, y, z = (element_from(w) for w in ASSOC_TRIPLE)
+    gx, gy = (normalize(w, G) for w in ASSOC_TRIPLE[:2])
+    pairs = [(x, y), (y, z), (multiply(x, y), z), (gx, gy), (gy, gx)]
+    for a, b in pairs:
+        multiply(a, b)
+    insertions, products, shifts = _count_work(monkeypatch)
+    for a, b in pairs:
+        multiply(a, b)
+    assert not products and not shifts
 
 
 # -- element arithmetic ------------------------------------------------------

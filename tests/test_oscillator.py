@@ -189,6 +189,7 @@ def test_ladder_identities_read_the_rewrite_table(monkeypatch):
 
     def clear():
         rule.cache_clear()
+        algebra._fuse_image.cache_clear()
         algebra._insert_cache.clear()
 
     clear()
@@ -502,12 +503,12 @@ def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
 # Laurent products of one oracle_consistency call over grades -8..8, with
 # every cache cold: the normal form and one ladder weight per grade met.
 ORACLE_PRODUCT_CEILINGS = {
-    ("L[3] L[4] L[2] L[0] L[-5]", C): 91,
-    ("L[3] L[4] L[2] L[0] L[-5]", Q): 96,
-    ("L[3] L[4] L[2] L[0] L[-5]", P2): 96,
-    ("W[2] L[-3] L[5] L[1]", C): 37,
-    ("W[2] L[-3] L[5] L[1]", Q): 37,
-    ("W[2] L[-3] L[5] L[1]", P2): 37,
+    ("L[3] L[4] L[2] L[0] L[-5]", C): 47,
+    ("L[3] L[4] L[2] L[0] L[-5]", Q): 52,
+    ("L[3] L[4] L[2] L[0] L[-5]", P2): 52,
+    ("W[2] L[-3] L[5] L[1]", C): 32,
+    ("W[2] L[-3] L[5] L[1]", Q): 32,
+    ("W[2] L[-3] L[5] L[1]", P2): 32,
 }
 ORACLE_WORDS = {
     "L[3] L[4] L[2] L[0] L[-5]": (L(3), L(4), L(2), L(0), L(-5)),
@@ -531,6 +532,7 @@ def test_oracle_product_counts(monkeypatch):
     for text, prof in ORACLE_PRODUCT_CEILINGS:
         algebra._insert_cache.clear()
         algebra._pair_rule.cache_clear()
+        algebra._fuse_image.cache_clear()
         ladder_weight.cache_clear()
         products.clear()
         assert oracle_consistency(ORACLE_WORDS[text], prof, (-8, 8)) == (True, None)
