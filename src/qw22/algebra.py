@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .errors import ArithmeticBoundError, ProfileError
 from .laurent import EXPONENT_BOUND, LaurentPoly, from_image, q_int
+from .laurent import _LANE_BITS, _add_image, _bucket, _pieces
 
 # Generator indices stay inside this cap so exponent formulas like
 # -2(n+1)m keep well within the checked 64-bit exponent window.
@@ -424,54 +425,14 @@ def _r_power(e: int, profile):
     return LaurentPoly.q_power(-e) if profile is STANDARD else LaurentPoly.p_power(e)
 
 
-# -- the fold's exact integer images ------------------------------------------
+# -- the fold's keys ----------------------------------------------------------
 #
-# A coefficient c rides through the fold as (n, e, l): n X^e = phi(c) for
-# the ring homomorphism phi: q -> X (standard, lanes along e_q) or q -> 1,
-# p -> X (generalized, along e_p), X = 2^bits, and l bounds the l1 norm of
-# c.  The second is injective on one total degree, and its relation factors
+# A coefficient c rides through the fold as its image (n, e, l) of
+# `laurent._pieces`: lanes along e_q (standard) or e_p (generalized, one
+# total degree per image), l an l1 bound.  The generalized relation factors
 # are homogeneous, so a key holds kappa, the final degree less len(tail),
-# and the bucket of 2^16 input lanes, so that q^(2^62) + 1 packs small.
-_LANE_BITS = 64
-
-
-def _bucket(lane: int) -> int:
-    return (lane + (1 << 15)) >> 16
-
-
-def _image(c: LaurentPoly, bits: int) -> tuple:
-    return (*c.kronecker_image(bits, 2 - c.nvars), sum(map(abs, c._terms.values())))
-
-
-def _pieces(c: LaurentPoly, bits: int) -> list:
-    """c's image as pieces ((degree, bucket), n, e, l), one per total degree
-    (0 with one variable) and bucket of lanes."""
-    terms, two = c._terms, c.nvars == 2
-    if len(terms) == 1:  # a monomial, packed without a loop
-        ((eq, ep), v), = terms.items()
-        lane = ep if two else eq
-        return [((eq + ep if two else 0, _bucket(lane)), v, lane, abs(v))]
-    if not two and _bucket(min(terms)[0]) == _bucket(max(terms)[0]):  # one piece
-        return [((0, _bucket(min(terms)[0])), *_image(c, bits))]
-    parts: dict = {}
-    for (eq, ep), v in terms.items():
-        parts.setdefault((eq + ep, _bucket(ep)) if two else (0, _bucket(eq)), {})[eq, ep] = v
-    return [(k, *_image(LaurentPoly(part, c.nvars), bits)) for k, part in parts.items()]
-
-
-def _add_image(out: dict, key, n: int, e: int, l: int, bits: int) -> None:
-    """out[key] += n X^e of l1 bound l.  n == 0 proves a term zero only where
-    l < 2^(bits - 1); a zero past that stays, and `_exact` runs wider."""
-    prev = out.get(key)
-    if prev is not None:
-        m, f, k = prev
-        if e > f:
-            n, m, e, f = m, n, f, e
-        n, l = n + (m << bits * (f - e)), l + k
-    if n or l >> (bits - 1):
-        out[key] = n, e, l
-    else:
-        out.pop(key, None)
+# and the bucket of the lane its product started in, so that pieces far
+# apart such as q^(2^62) and 1 never merge into one integer.
 
 
 # The factors depend on the pair alone, so each is built once; the outputs
@@ -503,9 +464,11 @@ def _pair_rule(left, right, profile):
 
 @lru_cache(maxsize=1024)
 def _fuse_image(left, right, profile, bits):
-    """`_pair_rule`'s fuse factor as (n, e, l, fused), or None; sized alike."""
+    """`_pair_rule`'s fuse factor as (n, e, l, fused), or None; sized alike.
+    A fuse factor r^(a-b) [b-a] has one total degree and its lanes at most
+    two apart, so it packs as one piece."""
     _, fuse, fused = _pair_rule(left, right, profile)
-    return None if fuse is None else (*_image(fuse, bits), fused)
+    return None if fuse is None else (*_pieces(fuse, bits)[0][1:], fused)
 
 
 def _bracket(left: GeneratorSymbol, right: GeneratorSymbol, profile) -> tuple:
@@ -703,11 +666,12 @@ def _product_state(lefts, rights, profile, bits) -> dict:
             exp = t2 and t2 * sum(_t_crossing(n, k) for n, k in nw1.l_block + nw1.w_block)
             if abs(exp) > EXPONENT_BOUND:
                 raise ArithmeticBoundError("T-collection exponent beyond the checked window")
-            size, b = len(w1) + len(w2) if profile is GENERALIZED else 0, _bucket(exp)
-            for (d1, b1), n1, e1, l1 in x:
-                for (d2, b2), n2, e2, l2 in ys:
-                    key = (nw1.t_exp + t2, w1, (d1 + d2 - size, b1 + b2 + b))
-                    _add_image(state, key, n1 * n2, e1 + e2 + exp, l1 * l2, bits)
+            size = len(w1) + len(w2) if profile is GENERALIZED else 0
+            for d1, n1, e1, l1 in x:
+                for d2, n2, e2, l2 in ys:
+                    e = e1 + e2 + exp
+                    key = (nw1.t_exp + t2, w1, (d1 + d2 - size, _bucket(e)))
+                    _add_image(state, key, n1 * n2, e, l1 * l2, bits)
         state = _fold(state, w2, profile, bits)
         for key, (n, e, l) in state.items() if out else ():
             _add_image(out, key, n, e, l, bits)

@@ -11,25 +11,25 @@ exponent formulas cannot silently run away.
 Operands of different variable profiles never mix; that is a ProfileError,
 not a coercion.
 
-A product takes one of four paths, all in Python integers:
+A product takes one of three paths, all in Python integers:
 
-- short-circuit: a product by exactly 1 returns the other operand, shared;
+- unit: a product by exactly 1 returns the other operand, shared;
 - shift: a one-term operand shifts the other's keys (`LaurentPoly.shifted`);
-- Kronecker product, above _SMALL_PRODUCT coefficient pairs: each operand
-  packs into one integer, lanes along e_q or, if smaller, along e_q + e_p;
-  one integer product convolves them, read back as signed digits;
-- pair loop: every other product, or one past the _MAX_DENSE_SPAN cap.
+- image pieces: every other product splits each operand's integer image
+  into pieces (`_pieces`), makes one integer product per pair of pieces,
+  merges the products per key (`_add_image`) and decodes each key once.
 
-The rewriter's fold takes none of them: it multiplies `kronecker_image`s
-and decodes once with `from_image`, through the same signed-digit reader.
-Lanes are as wide as the coefficients need, so huge coefficients stay packed.
+The images are those of `kronecker_image`, q -> X (one variable) or q -> 1,
+p -> X on one total degree (two), X = 2^bits, with lanes as wide as the
+coefficients need, so huge coefficients stay packed.  The rewriter's fold
+in `algebra` carries the same images through its rewrite steps and decodes
+its output terms through the memo `from_image`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .errors import (
     ArithmeticBoundError,
@@ -42,37 +42,25 @@ from .errors import (
 # enforced by hand and violations raise instead.
 EXPONENT_BOUND = 2**63 - 1
 
-# Below this many coefficient pair-products, plain dict loops beat the
-# packing overhead of the Kronecker product.
-_SMALL_PRODUCT = 96
+# Lane width of the fold's images; a fold whose l1 bound reaches 2^63 runs
+# once more with wider lanes.
+_LANE_BITS = 64
 
-# Lane cap of the Kronecker product: wider operands take the pair loop.
-_MAX_DENSE_SPAN = 1 << 16
+# A run of this many empty lanes splits an image into pieces, and products
+# of pieces merge only when they start in the same bucket of this many
+# lanes, so no image integer is mostly empty.  Narrower buckets split the
+# fold's merges: at 32 lanes criterion 3's products decode 20% more often.
+_RUN = 256
 
-# Lanes that `_pack` adds one by one before it packs in runs.
+# Lanes that `_pack` adds, and `_signed_digits` reads, one by one before
+# they split the work.
 _PACK_RUN = 64
 
 
 def _check_exponent(e: int) -> int:
     if e > EXPONENT_BOUND or e < -EXPONENT_BOUND:
-        raise ArithmeticBoundError(
-            f"exponent {e} left the checked 64-bit window"
-        )
+        raise ArithmeticBoundError(f"exponent {e} left the checked 64-bit window")
     return e
-
-
-def _mul_terms_small(a: dict, b: dict) -> dict:
-    out: dict = {}
-    get = out.get
-    for (qa, pa), ca in a.items():
-        for (qb, pb), cb in b.items():
-            key = (qa + qb, pa + pb)
-            v = get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
 
 
 def _pack(lanes, coeffs, bits: int) -> int:
@@ -97,54 +85,51 @@ def _pack(lanes, coeffs, bits: int) -> int:
     return runs[0][1] << (bits * runs[0][0])
 
 
-def _mul_terms_kronecker(a: dict, b: dict):
-    """Exact product by Kronecker substitution, or None past the span cap.
-
-    Each exponent pair is packed into one lane index (low part + high part
-    * stride), the stride being the combined span of the low part, so lane
-    sums never carry into the high part.  The low part is e_q, or the total
-    degree e_q + e_p when its span is smaller: homogeneous operands such as
-    the two-parameter ladder weights then pack into one lane per e_p.
-
-    Each operand becomes one integer with `bits` bits per lane, and a single
-    integer product does the convolution.  No lane of the product can exceed
-    min(len a, len b) * max|a| * max|b| in size, so `bits` holds it with a
-    sign bit to spare and the lanes read back as signed digits.
-    """
-    qa, pa = zip(*a)
-    qb, pb = zip(*b)
-    sa = list(map(add, qa, pa))
-    sb = list(map(add, qb, pb))
-    sp = (max(pa) - min(pa)) + (max(pb) - min(pb)) + 1
-    sq = (max(qa) - min(qa)) + (max(qb) - min(qb)) + 1
-    ss = (max(sa) - min(sa)) + (max(sb) - min(sb)) + 1
-    total_degree = ss < sq
-    lowa, lowb, stride = (sa, sb, ss) if total_degree else (qa, qb, sq)
-    if stride * sp > _MAX_DENSE_SPAN:
-        return None
-    ma = max(map(abs, a.values()))
-    mb = max(map(abs, b.values()))
-    bits = (min(len(a), len(b)) * ma * mb).bit_length() + 1
-
-    minla, minlb, minpa, minpb = min(lowa), min(lowb), min(pa), min(pb)
-    x = _pack([(e - minla) + (f - minpa) * stride for e, f in zip(lowa, pa)], a.values(), bits)
-    y = _pack([(e - minlb) + (f - minpb) * stride for e, f in zip(lowb, pb)], b.values(), bits)
-    minl, minp = minla + minlb, minpa + minpb
-    out = {}
-    for i, c in _signed_digits(x * y, bits):
-        low, ep = minl + i % stride, minp + i // stride
-        out[(low - ep if total_degree else low, ep)] = c
+def _accumulate(out: dict, terms, sign: int = 1) -> dict:
+    """out += sign * terms, (key, coeff) pairs of nonzero coeffs, dropping zeros."""
+    for key, c in terms:
+        c = out.get(key, 0) + sign * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
     return out
 
 
+def _shift_terms(terms: dict, eq: int, ep: int, c: int = 1) -> dict:
+    """terms times the monomial c q^eq p^ep: the keys shift, no term collects."""
+    out, bound = {(eq + qb, ep + pb): c * cb for (qb, pb), cb in terms.items()}, EXPONENT_BOUND
+    for x, y in out:
+        if not (-bound <= x <= bound and -bound <= y <= bound):
+            _check_exponent(x)
+            _check_exponent(y)
+    return out
+
+
+# -- integer images ------------------------------------------------------
+#
+# A coefficient rides as (n, e, l): n X^e, X = 2^bits, is its image under
+# q -> X (lanes along e_q) or q -> 1, p -> X (along e_p, one total degree),
+# and l bounds its l1 norm.
+
+
 def _signed_digits(n: int, bits: int) -> list:
-    """n's nonzero signed base-2^bits digits as (lane, digit), from |n|."""
+    """n's nonzero signed base-2^bits digits as (lane, digit), from |n|.  Past
+    _PACK_RUN lanes, v = (|n| + H) ^ H, H = 2^(bits - 1) in each of n's lanes
+    and the one above, holds each digit mod 2^bits in its lane: no borrow
+    crosses a lane, so `_read_lanes` halves v and skips halves that are 0."""
     negative = n < 0
     if negative:
         n = -n
+    out: list = []
+    if n.bit_length() > _PACK_RUN * bits:
+        h = 1 << (bits - 1)
+        while h.bit_length() < n.bit_length() + bits:
+            h |= h << h.bit_length()
+        _read_lanes((n + h) ^ h, bits, 0, -1 if negative else 1, out)
+        return out
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
-    out = []
     i = 0
     while n:
         c = n & mask
@@ -159,32 +144,119 @@ def _signed_digits(n: int, bits: int) -> list:
     return out
 
 
-def _check_window(terms: dict) -> dict:
-    bound = EXPONENT_BOUND
-    for eq, ep in terms:
-        if not (-bound <= eq <= bound and -bound <= ep <= bound):
-            _check_exponent(eq)
-            _check_exponent(ep)
-    return terms
+def _read_lanes(v: int, bits: int, first: int, sign: int, out: list) -> None:
+    """Append v's nonzero lanes from lane `first` on, as signed digits times
+    sign, halving v past _PACK_RUN lanes."""
+    if v.bit_length() > _PACK_RUN * bits:
+        k = bits * (v.bit_length() // bits // 2)
+        low = v & ((1 << k) - 1)
+        if low:
+            _read_lanes(low, bits, first, sign, out)
+        _read_lanes(v >> k, bits, first + k // bits, sign, out)
+        return
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    while v:
+        c = v & mask
+        v >>= bits
+        if c:
+            out.append((first, sign * (c - (mask + 1) if c >= half else c)))
+        first += 1
 
 
-def _shift_terms(terms: dict, eq: int, ep: int, c: int = 1) -> dict:
-    """terms times the monomial c q^eq p^ep: the keys shift, no term collects."""
-    return _check_window({(eq + qb, ep + pb): c * cb for (qb, pb), cb in terms.items()})
+def _bucket(lane: int) -> int:
+    return lane // _RUN
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
+def _pieces(c: "LaurentPoly", bits: int) -> list:
+    """c's image as pieces (degree, n, e, l): one per total degree (0 with
+    one variable) and per run of lanes that no _RUN empty lanes cut."""
+    terms, two = c._terms, c.nvars == 2
+    if len(terms) == 1:  # a monomial, packed without a loop
+        ((eq, ep), v), = terms.items()
+        return [(eq + ep, v, ep, abs(v)) if two else (0, v, eq, abs(v))]
+    degrees: dict = {} if two else {0: {eq: v for (eq, _), v in terms.items()}}
+    for (eq, ep), v in terms.items() if two else ():
+        degrees.setdefault(eq + ep, {})[ep] = v
+    out = []
+    for d, lanes in degrees.items():
+        runs = [lanes]
+        if max(lanes) - min(lanes) >= len(lanes) + _RUN - 1:  # room for a cut: sort
+            order = sorted(lanes)
+            cuts = [i for i in range(1, len(order)) if order[i] - order[i - 1] > _RUN]
+            runs = [{k: lanes[k] for k in order[i:j]} for i, j in zip([0, *cuts], [*cuts, None])]
+        for run in runs:
+            e, coeffs = min(run), run.values()
+            out.append((d, _pack([k - e for k in run], coeffs, bits), e, sum(map(abs, coeffs))))
+    return out
+
+
+def _add_image(out: dict, key, n: int, e: int, l: int, bits: int) -> None:
+    """out[key] += n X^e of l1 bound l.  n == 0 proves a term zero only where
+    l < 2^(bits - 1); a zero past that stays, for a wider run to decode."""
+    prev = out.get(key)
+    if prev is not None:
+        m, f, k = prev
+        if e > f:
+            n, m, e, f = m, n, f, e
+        n, l = n + (m << bits * (f - e)), l + k
+    if n or l >> (bits - 1):
+        out[key] = n, e, l
+    else:
+        out.pop(key, None)
+
+
+def _from_image(n: int, e: int, bits: int, nvars: int, degree: int) -> dict:
+    """The terms of `kronecker_image` n X^e, X = 2^bits, at stride 1 (one
+    variable) or 0 (two, of the given total degree): n's signed base-X digits,
+    exact for n != 0 and coefficients below 2^(bits - 1) in size."""
+    if -(1 << (bits - 1)) < n < 1 << (bits - 1):  # one lane
+        if nvars == 1:
+            return {(_check_exponent(e), 0): n}
+        return {(_check_exponent(degree - e), _check_exponent(e)): n}
+    digits = _signed_digits(n, bits)
+    for i in (digits[0][0], digits[-1][0]):
+        if nvars == 2:
+            _check_exponent(degree - e - i)
+        _check_exponent(e + i)
+    if nvars == 1:
+        return {(e + i, 0): c for i, c in digits}
+    return {(degree - e - i, e + i): c for i, c in digits}
+
+
+# The fold's decoded polynomials are shared.  Measured on the benchmarks,
+# about four decodes in ten hit, and 1024 entries hold 1-2 MB; 512 left
+# op_p50 4% up.  Products decode without it, so they evict no entry.
+@lru_cache(maxsize=1024)
+def from_image(n: int, e: int, bits: int, nvars: int, degree: int) -> "LaurentPoly":
+    """`_from_image` as a polynomial, memoized for the rewriter's fold."""
+    return _wrap(_from_image(n, e, bits, nvars, degree), nvars)
+
+
+def _mul_terms(a: "LaurentPoly", b: "LaurentPoly") -> dict:
+    """The terms of a * b.  A monomial operand shifts the other; else one
+    integer product per pair of pieces, merged per key and decoded once per
+    key.  Lanes of (l1(a) l1(b)).bit_length() + 2 bits hold every output
+    coefficient with its sign, so one run decodes."""
+    if len(a._terms) > len(b._terms):
         a, b = b, a
-    if len(a) == 1:
-        ((qa, pa), ca), = a.items()
-        return _shift_terms(b, qa, pa, ca)
-    out = _mul_terms_kronecker(a, b) if len(a) * len(b) > _SMALL_PRODUCT else None
-    if out is None:
-        out = _mul_terms_small(a, b)
-    return _check_window(out)
+    if len(a._terms) < 2:
+        if not a._terms:
+            return {}
+        ((qa, pa), ca), = a._terms.items()
+        return _shift_terms(b._terms, qa, pa, ca)
+    l1a, l1b = sum(map(abs, a._terms.values())), sum(map(abs, b._terms.values()))
+    bits = (l1a * l1b).bit_length() + 2
+    images: dict = {}
+    xs, ys = _pieces(a, bits), _pieces(b, bits)
+    for d, n, e, l in xs:
+        for f, m, g, k in ys:
+            _add_image(images, (d + f, _bucket(e + g)), n * m, e + g, l * k, bits)
+    out: dict = {}
+    for (d, _), (n, e, _) in images.items():
+        terms = _from_image(n, e, bits, a.nvars, d)
+        out = _accumulate(out, terms.items()) if out else terms
+    return out
 
 
 class LaurentPoly:
@@ -284,14 +356,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return _wrap(out, self.nvars)
+        return _wrap(_accumulate(dict(self._terms), other._terms.items()), self.nvars)
 
     __radd__ = __add__
 
@@ -302,14 +367,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) - c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return _wrap(out, self.nvars)
+        return _wrap(_accumulate(dict(self._terms), other._terms.items(), -1), self.nvars)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -325,7 +383,7 @@ class LaurentPoly:
             return self
         if self._terms == _UNIT_TERMS:
             return other
-        return _wrap(_mul_terms(self._terms, other._terms), self.nvars)
+        return _wrap(_mul_terms(self, other), self.nvars)
 
     __rmul__ = __mul__
 
@@ -340,7 +398,9 @@ class LaurentPoly:
         (n, e) meaning n X^e: q^a p^b lands in lane b + stride (a + b).  A
         ring homomorphism, injective where coefficients are below
         2^(bits - 1) in size and p-exponents span less than stride, or, at
-        stride 0 (q = 1, p = X), on polynomials of one total degree."""
+        stride 0 (q = 1, p = X), on polynomials of one total degree.  The
+        pieces of products and of the fold (`_pieces`) are images at stride
+        1 (one variable) and 0 (two); the oracle picks its own stride."""
         lanes = [ep + stride * (eq + ep) for eq, ep in self._terms]
         e = min(lanes, default=0)
         return _pack([i - e for i in lanes], self._terms.values(), bits), e
@@ -415,15 +475,8 @@ class LaurentPoly:
         """Collapse the two-variable profile by sending p to q^-1."""
         if self.nvars != 2:
             raise ProfileError("substitution applies to two-variable polynomials")
-        out: dict = {}
-        for (eq, ep), c in self._terms.items():
-            key = (_check_exponent(eq - ep), 0)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return _wrap(out, 1)
+        terms = (((_check_exponent(eq - ep), 0), c) for (eq, ep), c in self._terms.items())
+        return _wrap(_accumulate({}, terms), 1)
 
     # -- rendering ------------------------------------------------------
 
@@ -468,27 +521,6 @@ def _wrap(terms: dict, nvars: int) -> LaurentPoly:
     object.__setattr__(poly, "nvars", nvars)
     object.__setattr__(poly, "_terms", terms)
     return poly
-
-
-# Decoded polynomials are shared.  Measured on the benchmarks, about four
-# decodes in ten hit, and 1024 entries hold 1-2 MB; 512 left op_p50 4% up.
-@lru_cache(maxsize=1024)
-def from_image(n: int, e: int, bits: int, nvars: int, degree: int) -> LaurentPoly:
-    """The polynomial of `kronecker_image` n X^e, X = 2^bits, at stride 1 (one
-    variable) or 0 (two, of the given total degree): n's signed base-X digits,
-    exact for n != 0 and coefficients below 2^(bits - 1) in size."""
-    if -(1 << (bits - 1)) < n < 1 << (bits - 1):  # one lane
-        if nvars == 1:
-            return _wrap({(_check_exponent(e), 0): n}, 1)
-        return _wrap({(_check_exponent(degree - e), _check_exponent(e)): n}, 2)
-    digits = _signed_digits(n, bits)
-    for i in (digits[0][0], digits[-1][0]):
-        if nvars == 2:
-            _check_exponent(degree - e - i)
-        _check_exponent(e + i)
-    if nvars == 1:
-        return _wrap({(e + i, 0): c for i, c in digits}, 1)
-    return _wrap({(degree - e - i, e + i): c for i, c in digits}, 2)
 
 
 _UNIT_TERMS = {(0, 0): 1}

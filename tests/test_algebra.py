@@ -31,6 +31,7 @@ from qw22 import (
     is_normal,
     multiply,
     normalize,
+    parse_element,
     q_bracket,
     q_int,
     substitute_p_inverse,
@@ -419,9 +420,9 @@ def test_coefficients_across_lane_boundaries():
 
 
 def test_sparse_coefficients_pack_by_bucket():
-    """A coefficient whose exponents lie far apart packs one integer per
-    bucket of lanes, not one as wide as its span; the pieces meet again
-    when decoded."""
+    """A coefficient whose exponents lie far apart packs one integer per run
+    of lanes, not one as wide as its span, and each product of pieces keys
+    on the bucket it starts in; the pieces meet again when decoded."""
     for profile in (S, G):
         nv = profile.nvars
         far = (2**20, 0) if nv == 1 else (-(2**20), 2**20)
@@ -430,6 +431,27 @@ def test_sparse_coefficients_pack_by_bucket():
         y = normalize((L(-1), L(2)), profile)
         for left, right in ((x, y), (y, x), (x + y, x)):
             assert list(multiply(left, right)._terms.items()) == _reference_multiply(left, right, {})
+
+
+def test_a_sparse_coefficient_decodes_in_few_lanes(monkeypatch):
+    """Counted, not timed: (q^n + q^-n) L[1] times L[-1] packs its two terms
+    as two pieces, so no decoded image spans the 2n lanes between them."""
+    read = []
+    real = laurent._signed_digits
+
+    def spy(n, bits):
+        read.append(n.bit_length() // bits + 1)
+        return real(n, bits)
+
+    monkeypatch.setattr(laurent, "_signed_digits", spy)
+    for n in (2000, 30000):
+        read.clear()
+        got = multiply(parse_element(f"(q^{n} + q^-{n}) L[1]"), parse_element("L[-1]"))
+        assert element_text(got) == (
+            f"(q^{n - 4} + q^-{n + 4}) * L[-1] L[1]"
+            f" + (-q^{n - 1} - q^{n - 3} - q^-{n + 1} - q^-{n + 3}) * L[0]"
+        )
+        assert sum(read) < 20, read
 
 
 def test_generalized_products_of_mixed_degrees():
@@ -522,7 +544,7 @@ def _count_work(monkeypatch) -> tuple:
     monkeypatch.setattr(
         algebra, "_insert_steps", lambda *a: insertions.append(1) or real_steps(*a)
     )
-    monkeypatch.setattr(laurent, "_mul_terms", lambda a, b: products.append(1) or real_mul(a, b))
+    monkeypatch.setattr(laurent, "_mul_terms", lambda *a: products.append(1) or real_mul(*a))
     monkeypatch.setattr(
         LaurentPoly, "shifted", lambda p, *a: shifts.append(1) or real_shifted(p, *a)
     )

@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic in Z[q, q^-1] and Z[q^-+1, p^-+1]."""
 
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -220,31 +221,50 @@ def pair_loop_product(a, b):
 
 
 @contextmanager
-def packed_lengths():
-    """Record, for every Kronecker product, the slot counts of its two packed
-    operands: the highest lane each one fills, plus one."""
+def packed():
+    """Record (slots, bits) for every integer `_pack` builds: the highest
+    lane it fills, plus one, and the lane width."""
     seen = []
     real = laurent._pack
 
     def spy(lanes, coeffs, bits):
-        seen.append(max(lanes) + 1)
+        seen.append((max(lanes) + 1, bits))
         return real(lanes, coeffs, bits)
 
     with mock.patch.object(laurent, "_pack", spy):
         yield seen
-    seen[:] = zip(seen[::2], seen[1::2])
 
 
-def kronecker(a, b):
-    """a * b, checked to have taken the Kronecker path."""
-    with packed_lengths() as seen:
+def image_product(a, b):
+    """a * b and the (slots, bits) of every piece it packed, checked to leave
+    the fold's decode memo `from_image` as it was."""
+    before = laurent.from_image.cache_info()
+    with packed() as seen:
         got = a * b
-    assert len(seen) == 1
-    return got
+    assert laurent.from_image.cache_info() == before
+    return got, seen
+
+
+def per_degree(a: LaurentPoly) -> int:
+    """The pieces an operand with no run of _RUN empty lanes packs as: one
+    per total degree, one with one variable."""
+    return len({eq + ep for (eq, ep), _ in a.items()}) if a.nvars == 2 else 1
+
+
+def dense_product(a, b):
+    """`image_product` of operands with no run of _RUN empty lanes, checked
+    to pack each one as one piece per total degree."""
+    got, seen = image_product(a, b)
+    assert len(seen) == per_degree(a) + per_degree(b)
+    return got, seen
+
+
+def l1(a: LaurentPoly) -> int:
+    return sum(abs(c) for _, c in a.items())
 
 
 def test_dense_products_cross_check_the_fast_path():
-    # term counts above 96 pairs route through the packed convolution
+    # 30-term operands with products of many terms
     rng = random.Random(11)
     for nvars in (1, 2):
         for _ in range(5):
@@ -279,13 +299,12 @@ def test_kronecker_image_is_the_value_at_a_power_of_two():
 
 def test_huge_coefficients_stay_exact():
     # far beyond int64 after squaring: the lanes widen to hold the
-    # coefficients, so the product stays on the Kronecker path
+    # coefficients, so each operand stays one packed piece
     big = LaurentPoly.zero()
     for e in range(12):
         big = big + LaurentPoly.monomial(3**40 + e, e)
-    with packed_lengths() as seen:
-        sq = big * big
-    assert seen == [(12, 12)]
+    sq, seen = image_product(big, big)
+    assert seen == [(12, (l1(big) ** 2).bit_length() + 2)] * 2
     assert sq == pair_loop_product(big, big)
     assert sq.items()[0][1] == (3**40 + 11) ** 2
 
@@ -322,33 +341,21 @@ def spans(a: LaurentPoly):
     return max(qs) - min(qs), max(ps) - min(ps)
 
 
-def ordered(a, b):
-    """The operands in the order the product packs them: fewer terms first."""
-    return (b, a) if a.term_count > b.term_count else (a, b)
-
-
 @settings(deadline=None, max_examples=60)
 @given(homogeneous, homogeneous)
 def test_homogeneous_products_pack_by_total_degree(a, b):
-    with packed_lengths() as seen:
-        got = a * b
+    got, seen = image_product(a, b)
     assert got == pair_loop_product(a, b)
-    # one lane per e_p: each packed vector is as long as its p-span
-    a, b = ordered(a, b)
-    assert seen == [(spans(a)[1] + 1, spans(b)[1] + 1)]
+    # one lane per e_p: the pieces together are no longer than the p-spans
+    assert sum(slots for slots, _ in seen) <= spans(a)[1] + spans(b)[1] + 2
 
 
 @settings(deadline=None, max_examples=60)
 @given(non_homogeneous, non_homogeneous)
-def test_non_homogeneous_products_pack_by_q(a, b):
-    with packed_lengths() as seen:
-        got = a * b
+def test_non_homogeneous_products_pack_one_piece_per_degree(a, b):
+    # inside the 11 x 11 box no degree has a run of _RUN empty lanes
+    got, _ = dense_product(a, b)
     assert got == pair_loop_product(a, b)
-    a, b = ordered(a, b)
-    stride = spans(a)[0] + spans(b)[0] + 1
-    assert seen == [
-        (spans(a)[0] + spans(a)[1] * stride + 1, spans(b)[0] + spans(b)[1] * stride + 1)
-    ]
 
 
 @settings(deadline=None, max_examples=40)
@@ -357,26 +364,22 @@ def test_non_homogeneous_products_pack_by_q(a, b):
     st.dictionaries(st.integers(-40000, 40000), nonzero, min_size=10, max_size=20),
     st.booleans(),
 )
-def test_products_failing_a_guard_use_the_pair_loop(large, wide, by_size):
-    # dense span: terms at -40000 and 40000 need more than 2^16 lanes, so the
-    # pair loop runs.  Coefficients of 2^31 or more, which could overflow an
-    # int64 lane, fail no guard: the lanes widen and the product is packed.
+def test_wide_and_large_operands_pack_in_pieces(large, wide, by_size):
+    # terms at -40000 and 40000 with 10 to 20 between: each piece is about
+    # as wide as its terms, not as the span.  Coefficients of 2^31 or more
+    # widen every lane to the l1 bound of the product, in one run.
     if by_size:
         a = b = LaurentPoly({(e, 0): c for e, c in large.items()})
     else:
         a = LaurentPoly({(e, 0): c for e, c in {**wide, -40000: 1, 40000: 2}.items()})
         b = LaurentPoly({(-e, 0): c for e, c in wide.items()})
-    with packed_lengths() as seen:
-        got = a * b
-    if by_size:
-        slots = max(large) - min(large) + 1
-        assert seen == [(slots, slots)]
-    else:
-        assert seen == []
+    got, seen = image_product(a, b)
     assert got == pair_loop_product(a, b)
+    assert {bits for _, bits in seen} == {(l1(a) * l1(b)).bit_length() + 2}
+    assert sum(slots for slots, _ in seen) <= laurent._RUN * (a.term_count + b.term_count)
 
 
-# -- Kronecker products against the pair loop: signs, borrows and lane widths
+# -- image products against the pair loop: signs, borrows and lane widths
 
 
 def filled(nvars, coeff):
@@ -414,7 +417,7 @@ def test_negative_coefficients_in_every_slot(operands):
     # every lane of the product is negative, so is the packed product, and
     # each lane reads back with its sign flipped
     a, b = operands
-    got = kronecker(a, b)
+    got, _ = dense_product(a, b)
     assert got == pair_loop_product(a, b)
     assert all(c < 0 for _, c in got.items())
 
@@ -429,7 +432,7 @@ def test_negative_top_coefficient(operands):
     ca, cb = dict(a.items()), dict(b.items())
     a = LaurentPoly({**ca, ta: -abs(ca[ta])}, a.nvars)
     b = LaurentPoly({**cb, tb: abs(cb[tb])}, b.nvars)
-    got = kronecker(a, b)
+    got, _ = dense_product(a, b)
     assert got == pair_loop_product(a, b)
     assert dict(got.items())[(ta[0] + tb[0], ta[1] + tb[1])] < 0
 
@@ -445,15 +448,15 @@ def test_negative_top_coefficient(operands):
 )
 def test_output_coefficients_at_the_lane_bound(nvars, wider, taller, ma, mb, signs):
     # constant operands, the shorter inside the longer: the middle lanes
-    # reach min(len a, len b) * max|a| * max|b|, the bound the lanes are
-    # sized for
+    # reach min(len a, len b) * max|a| * max|b|, inside the l1 bound the
+    # lanes are sized for
     if nvars == 1:
         a = LaurentPoly({(e, 0): signs[0] * ma for e in range(10)})
         b = LaurentPoly({(e, 0): signs[1] * mb for e in range(10 + wider)})
     else:
         a = two_var({(e, f): signs[0] * ma for e in range(4) for f in range(4)})
         b = two_var({(e, f): signs[1] * mb for e in range(4 + wider // 7) for f in range(4 + taller)})
-    got = kronecker(a, b)
+    got, _ = dense_product(a, b)
     assert got == pair_loop_product(a, b)
     bound = a.term_count * ma * mb
     extreme = max((c for _, c in got.items()), key=abs)
@@ -476,9 +479,12 @@ def test_output_coefficients_at_the_lane_bound(nvars, wider, taller, ma, mb, sig
     )
 )
 def test_runs_of_empty_slots(operands):
-    # 10 to 20 terms spread over 601 exponents: most lanes are empty
+    # 10 to 20 terms spread over 601 exponents: most lanes are empty, and
+    # no piece is much wider than its terms
     a, b = operands
-    assert kronecker(a, b) == pair_loop_product(a, b)
+    got, seen = image_product(a, b)
+    assert got == pair_loop_product(a, b)
+    assert sum(slots for slots, _ in seen) <= laurent._RUN * (a.term_count + b.term_count)
 
 
 huge = st.sampled_from([1, -1]).flatmap(
@@ -489,10 +495,93 @@ huge = st.sampled_from([1, -1]).flatmap(
 @settings(deadline=None, max_examples=40)
 @given(profiles.flatmap(lambda n: st.tuples(filled(n, huge), filled(n, huge | nonzero))))
 def test_coefficients_near_2_to_the_200(operands):
-    # lanes of about 400 bits; the second operand mixes huge and small terms
+    # lanes of 200 to 400 bits, from the l1 norms; the second operand mixes
+    # huge and small terms
     a, b = operands
-    assert kronecker(a, b) == pair_loop_product(a, b)
-    assert kronecker(a, a) == pair_loop_product(a, a)
+    for x, y in ((a, b), (a, a)):
+        got, seen = dense_product(x, y)
+        assert got == pair_loop_product(x, y)
+        assert {bits for _, bits in seen} == {(l1(x) * l1(y)).bit_length() + 2}
+        assert all(bits > 200 for _, bits in seen)
+
+
+def test_far_apart_terms_pack_one_lane_each():
+    """4 x 4 terms 30,000 apart: every term is its own piece, and pieces
+    whose products start far apart are decoded apart."""
+    a = LaurentPoly({(30000 * i, 0): i + 3 for i in range(-2, 2)})
+    b = LaurentPoly({(30000 * i + 7, 0): 2 * i - 1 for i in range(-2, 2)})
+    got, seen = image_product(a, b)
+    assert got == pair_loop_product(a, b)
+    assert [slots for slots, _ in seen] == [1] * 8
+
+
+# -- the signed-digit reader
+
+
+def lane_by_lane_digits(n: int, bits: int) -> list:
+    """The reader as it was: one lane per step, each step shifting all that
+    is left of |n|.  The reference for `_signed_digits`."""
+    negative = n < 0
+    if negative:
+        n = -n
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    out = []
+    i = 0
+    while n:
+        c = n & mask
+        n >>= bits
+        if c:
+            if c >= half:
+                c -= mask + 1
+                n += 1
+            out.append((i, -c if negative else c))
+        i += 1
+    return out
+
+
+def test_signed_digits_match_the_lane_by_lane_reader():
+    # short and long reads, from digits at the signed bounds and runs of
+    # empty lanes, and from plain random integers
+    rng = random.Random(29)
+    for _ in range(600):
+        bits = rng.randint(2, 70)
+        half = 1 << (bits - 1)
+        lanes = rng.choice((1, 5, 63, 64, 65, 130, 400))
+        pool = (0, 0, 0, 1, -1, half - 1, -half, rng.randrange(-half, half))
+        n = sum(rng.choice(pool) << (bits * i) for i in range(lanes))
+        for m in (n, -n, rng.getrandbits(bits * lanes) - rng.getrandbits(bits * lanes)):
+            assert laurent._signed_digits(m, bits) == lane_by_lane_digits(m, bits)
+
+
+def lines_run(f):
+    """f() and the number of lines it ran in the laurent module."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename == laurent.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        out = f()
+    finally:
+        sys.settrace(previous)
+    return out, count
+
+
+def test_long_sparse_reads_skip_empty_lanes():
+    """Counted, not timed: two nonzero lanes 5,000 apart read back in a few
+    hundred lines; a read of one lane per step runs tens of thousands."""
+    for bits in (3, 64, 401):
+        digits, lines = lines_run(lambda: laurent._signed_digits(3 - (1 << (bits * 5000)), bits))
+        assert digits == [(0, 3), (5000, -1)]
+        assert lines < 1000, (bits, lines)
 
 
 @settings(deadline=None, max_examples=80)
