@@ -52,7 +52,7 @@ _LANE_BITS = 64
 # fold's merges: at 32 lanes criterion 3's products decode 20% more often.
 _RUN = 256
 
-# Lanes that `_pack` adds, and `_signed_digits` reads, one by one before
+# Lanes that `_pack` adds, and `_read_lanes` reads, one by one before
 # they split the work.
 _PACK_RUN = 64
 
@@ -114,33 +114,18 @@ def _shift_terms(terms: dict, eq: int, ep: int, c: int = 1) -> dict:
 
 
 def _signed_digits(n: int, bits: int) -> list:
-    """n's nonzero signed base-2^bits digits as (lane, digit), from |n|.  Past
-    _PACK_RUN lanes, v = (|n| + H) ^ H, H = 2^(bits - 1) in each of n's lanes
-    and the one above, holds each digit mod 2^bits in its lane: no borrow
-    crosses a lane, so `_read_lanes` halves v and skips halves that are 0."""
+    """n's nonzero signed base-2^bits digits as (lane, digit), from |n|.
+    v = (|n| + H) ^ H, H = 2^(bits - 1) in each of n's lanes and the one
+    above, holds each digit mod 2^bits in its lane: no borrow crosses a
+    lane, so `_read_lanes` can halve v and skip halves that are 0."""
     negative = n < 0
     if negative:
         n = -n
+    h = 1 << (bits - 1)
+    while h.bit_length() < n.bit_length() + bits:
+        h |= h << h.bit_length()
     out: list = []
-    if n.bit_length() > _PACK_RUN * bits:
-        h = 1 << (bits - 1)
-        while h.bit_length() < n.bit_length() + bits:
-            h |= h << h.bit_length()
-        _read_lanes((n + h) ^ h, bits, 0, -1 if negative else 1, out)
-        return out
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    i = 0
-    while n:
-        c = n & mask
-        n >>= bits
-        if c:
-            if c >= half:
-                # A negative digit borrowed one from the lane above.
-                c -= mask + 1
-                n += 1
-            out.append((i, -c if negative else c))
-        i += 1
+    _read_lanes((n + h) ^ h, bits, 0, -1 if negative else 1, out)
     return out
 
 

@@ -341,13 +341,19 @@ def spans(a: LaurentPoly):
     return max(qs) - min(qs), max(ps) - min(ps)
 
 
+def ordered(a, b):
+    """The operands in the order the product packs them: fewer terms first."""
+    return (b, a) if a.term_count > b.term_count else (a, b)
+
+
 @settings(deadline=None, max_examples=60)
 @given(homogeneous, homogeneous)
 def test_homogeneous_products_pack_by_total_degree(a, b):
-    got, seen = image_product(a, b)
+    got, seen = dense_product(a, b)
     assert got == pair_loop_product(a, b)
-    # one lane per e_p: the pieces together are no longer than the p-spans
-    assert sum(slots for slots, _ in seen) <= spans(a)[1] + spans(b)[1] + 2
+    # one lane per e_p: each operand packs as one piece as long as its p-span
+    a, b = ordered(a, b)
+    assert [slots for slots, _ in seen] == [spans(a)[1] + 1, spans(b)[1] + 1]
 
 
 @settings(deadline=None, max_examples=60)
