@@ -16,7 +16,6 @@ language, and :mod:`qw22.suites` the named verification suites behind
 
 from .algebra import (
     GENERALIZED,
-    INDEX_CAP,
     STANDARD,
     DeformationProfile,
     Element,
@@ -43,7 +42,6 @@ from .errors import (
     EvaluationDomainError,
     ParseError,
     ProfileError,
-    QW22Error,
     UnsupportedInverseError,
 )
 from .exprparse import parse_element
@@ -64,7 +62,6 @@ from .oscillator import (
     CLASSICAL,
     Q_DEFORMED,
     TWO_PARAM,
-    FockLabel,
     ModuleVector,
     OscillatorProfile,
     apply_element,
@@ -77,13 +74,11 @@ from .oscillator import (
     oracle_consistency,
     shift,
 )
-from .suites import CheckReport, SuiteBounds, render_text, report_json_obj, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArithmeticBoundError",
-    "CheckReport",
     "CLASSICAL",
     "classical_limit",
     "check_axiom",
@@ -103,11 +98,9 @@ __all__ = [
     "EvaluationDomainError",
     "evaluate",
     "EXPONENT_BOUND",
-    "FockLabel",
     "flip",
     "GENERALIZED",
     "GeneratorSymbol",
-    "INDEX_CAP",
     "is_normal",
     "L",
     "ladder_weight",
@@ -127,14 +120,9 @@ __all__ = [
     "q_bracket",
     "q_identity_check",
     "q_int",
-    "QW22Error",
-    "render_text",
-    "report_json_obj",
-    "run_suite",
     "shift",
     "STANDARD",
     "substitute_p_inverse",
-    "SuiteBounds",
     "T",
     "T_INV",
     "TensorElement",

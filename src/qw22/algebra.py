@@ -18,10 +18,10 @@ evaluated elements, tensors (`hopf`) and module vectors (`oscillator`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ArithmeticBoundError, ProfileError
@@ -72,22 +72,25 @@ def W(n: int) -> GeneratorSymbol:
 Word = tuple  # tuple[GeneratorSymbol, ...]
 
 
-@dataclass(frozen=True)
-class NormalWord:
+class NormalWord(tuple):
     """A normally ordered basis monomial: T-power, then L-block, W-block.
 
-    Blocks are tuples of (index, multiplicity) with strictly ascending
-    indices and positive multiplicities.
+    It is the tuple (t_exp, letters), letters the ladder letters in order
+    as (kind, index) pairs, the tails the rewriter folds; so hashing and
+    equality are the tuple's.  The blocks are read off the letters: tuples
+    of (index, multiplicity) with strictly ascending indices and positive
+    multiplicities.
     """
 
-    t_exp: int = 0
-    l_block: tuple = ()
-    w_block: tuple = ()
+    __slots__ = ()
+    t_exp = property(itemgetter(0))
+    letters = property(itemgetter(1))
 
-    def __post_init__(self):
-        if abs(self.t_exp) > EXPONENT_BOUND:
+    def __new__(cls, t_exp: int = 0, l_block: tuple = (), w_block: tuple = ()):
+        if abs(t_exp) > EXPONENT_BOUND:
             raise ArithmeticBoundError("T-power beyond the checked window")
-        for block in (self.l_block, self.w_block):
+        letters = []
+        for kind, block in (("L", l_block), ("W", w_block)):
             last = None
             for n, k in block:
                 _check_index(n)
@@ -96,49 +99,44 @@ class NormalWord:
                 if last is not None and n <= last:
                     raise ValueError("block indices must strictly ascend")
                 last = n
+                letters += [(kind, n)] * k
+        return tuple.__new__(cls, (t_exp, tuple(letters)))
 
-    def is_unit(self) -> bool:
-        return not (self.t_exp or self.l_block or self.w_block)
+    def __getnewargs__(self):
+        return self.sort_key()
+
+    def __repr__(self):
+        return "NormalWord(t_exp={}, l_block={}, w_block={})".format(*self.sort_key())
 
     def sort_key(self):
-        return (self.t_exp, self.l_block, self.w_block)
+        """(t_exp, l_block, w_block), the order terms are listed in."""
+        runs: dict = {}
+        for letter in self[1]:  # equal letters are adjacent
+            runs[letter] = runs.get(letter, 0) + 1
+        blocks: dict = {"L": [], "W": []}
+        for (kind, n), k in runs.items():
+            blocks[kind].append((n, k))
+        return self[0], tuple(blocks["L"]), tuple(blocks["W"])
 
-    @cached_property
-    def letters(self) -> tuple:
-        """The ladder letters in order, as (kind, index) pairs."""
-        return tuple(
-            (kind, n) for kind, block in (("L", self.l_block), ("W", self.w_block))
-            for n, k in block for _ in range(k)
-        )
+    l_block = property(lambda self: self.sort_key()[1])
+    w_block = property(lambda self: self.sort_key()[2])
+
+    def is_unit(self) -> bool:
+        return not (self[0] or self[1])
 
     def generator_sequence(self) -> Word:
-        syms = []
-        step = T if self.t_exp > 0 else T_INV
-        syms.extend([step] * abs(self.t_exp))
-        for n, k in self.l_block:
-            syms.extend([GeneratorSymbol("L", n)] * k)
-        for n, k in self.w_block:
-            syms.extend([GeneratorSymbol("W", n)] * k)
-        return tuple(syms)
+        t = self[0]
+        return (T if t > 0 else T_INV,) * abs(t) + tuple(GeneratorSymbol(*x) for x in self[1])
 
     def to_json_obj(self) -> dict:
-        return {
-            "t": self.t_exp,
-            "l": [[n, k] for n, k in self.l_block],
-            "w": [[n, k] for n, k in self.w_block],
-        }
+        t, lb, wb = self.sort_key()
+        return {"t": t, "l": [[n, k] for n, k in lb], "w": [[n, k] for n, k in wb]}
 
     def text(self) -> str:
-        pieces = []
-        d = self.t_exp
-        if d == 1:
-            pieces.append("T")
-        elif d:
-            pieces.append(f"T^{d}")
-        for n, k in self.l_block:
-            pieces.append(f"L[{n}]" if k == 1 else f"L[{n}]^{k}")
-        for n, k in self.w_block:
-            pieces.append(f"W[{n}]" if k == 1 else f"W[{n}]^{k}")
+        d, lb, wb = self.sort_key()
+        pieces = ["T" if d == 1 else f"T^{d}"] if d else []
+        for kind, block in (("L", lb), ("W", wb)):
+            pieces += [f"{kind}[{n}]" if k == 1 else f"{kind}[{n}]^{k}" for n, k in block]
         return " ".join(pieces)
 
 
@@ -626,19 +624,9 @@ def _exact(fold, args, profile, bits: int = _LANE_BITS) -> dict:
             bits = max(l for _, _, l in state.values()).bit_length() + 2
             return _exact(fold, args, profile, bits)
         c = from_image(n, e, bits, nvars, kappa + len(tail))
-        blocks, i = {"L": [], "W": []}, 0
-        while i < len(tail):
-            j = i + 1
-            while j < len(tail) and tail[j] == tail[i]:
-                j += 1
-            blocks[tail[i][0]].append((tail[i][1], j - i))
-            i = j
-        lb, wb = tuple(blocks["L"]), tuple(blocks["W"])
         if abs(t) > EXPONENT_BOUND:
             raise ArithmeticBoundError("T-power beyond the checked window")
-        # A normal, capped tail needs no __post_init__ checks; keep its letters.
-        nw = object.__new__(NormalWord)
-        nw.__dict__.update(t_exp=t, l_block=lb, w_block=wb, letters=tail)
+        nw = tuple.__new__(NormalWord, (t, tail))  # a normal, capped tail
         size = len(out)
         out.setdefault(nw, c)
         if len(out) == size:  # the same word at another kappa or bucket
@@ -657,20 +645,20 @@ def _product_state(lefts, rights, profile, bits) -> dict:
     """The image state of the sum of c1 c2 nw1 nw2 over the terms (nw1, c1)
     of lefts and (nw2, c2) of rights.  Per right term, nw2's T-power crosses
     each tail in closed form, then its letters go into all tails at once."""
-    xs = [(nw1, nw1.letters, _pieces(c1, bits)) for nw1, c1 in lefts]
+    xs = [(*nw1, _pieces(c1, bits)) for nw1, c1 in lefts]
     out: dict = {}
-    for nw2, c2 in rights:
-        t2, w2, ys = nw2.t_exp, nw2.letters, _pieces(c2, bits)
+    for (t2, w2), c2 in rights:
+        ys = _pieces(c2, bits)
         state: dict = {}
-        for nw1, w1, x in xs:
-            exp = t2 and t2 * sum(_t_crossing(n, k) for n, k in nw1.l_block + nw1.w_block)
+        for t1, w1, x in xs:
+            exp = t2 and t2 * sum(_t_crossing(n) for _, n in w1)
             if abs(exp) > EXPONENT_BOUND:
                 raise ArithmeticBoundError("T-collection exponent beyond the checked window")
             size = len(w1) + len(w2) if profile is GENERALIZED else 0
             for d1, n1, e1, l1 in x:
                 for d2, n2, e2, l2 in ys:
                     e = e1 + e2 + exp
-                    key = (nw1.t_exp + t2, w1, (d1 + d2 - size, _bucket(e)))
+                    key = (t1 + t2, w1, (d1 + d2 - size, _bucket(e)))
                     _add_image(state, key, n1 * n2, e, l1 * l2, bits)
         state = _fold(state, w2, profile, bits)
         for key, (n, e, l) in state.items() if out else ():

@@ -18,7 +18,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     STANDARD,
@@ -38,75 +38,56 @@ from .laurent import EXPONENT_BOUND, LaurentPoly
 # -- syntax tree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
-    line: int
-    col: int
+class _Node(tuple):
+    """An immutable syntax-tree node: equal only to a node of the same type
+    with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), *self))
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int
-    col: int
+class Lit(_Node, namedtuple("Lit", "value line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Gen:
-    kind: str
-    index: int
-    line: int
-    col: int
+class Var(_Node, namedtuple("Var", "name line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    line: int
-    col: int
+class Gen(_Node, namedtuple("Gen", "kind index line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    line: int
-    col: int
+class Pow(_Node, namedtuple("Pow", "base exponent line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
-    line: int
-    col: int
+class Neg(_Node, namedtuple("Neg", "child line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diff:
-    left: object
-    right: object
-    line: int
-    col: int
+class Sum(_Node, namedtuple("Sum", "left right line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: object
-    right: object
-    line: int
-    col: int
+class Diff(_Node, namedtuple("Diff", "left right line col")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QBracket:
-    x: object
-    y: object
-    alpha: object
-    beta: object
-    line: int
-    col: int
+class Prod(_Node, namedtuple("Prod", "left right line col")):
+    __slots__ = ()
+
+
+class QBracket(_Node, namedtuple("QBracket", "x y alpha beta line col")):
+    __slots__ = ()
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -126,12 +107,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(text: str) -> list:
@@ -300,7 +276,7 @@ def _invert(x: Element) -> Element:
     if len(items) != 1:
         raise UnsupportedInverseError("only single-term elements can be inverted")
     nw, c = items[0]
-    if nw.l_block or nw.w_block:
+    if nw.letters:
         raise UnsupportedInverseError("ladder generators are not invertible")
     return Element._raw(x.profile, {NormalWord(t_exp=-nw.t_exp): c ** -1})
 
@@ -320,7 +296,7 @@ def _power(base: Element, k: int) -> Element:
     items = base.terms()
     if k > EXPONENT_BOUND and not _is_unit(items):
         raise ArithmeticBoundError(f"power {k} of a non-unit beyond the checked 64-bit window")
-    if len(items) == 1 and not (items[0][0].l_block or items[0][0].w_block):
+    if len(items) == 1 and not items[0][0].letters:
         nw, c = items[0]
         t_power = NormalWord(t_exp=nw.t_exp * k)
         return Element._raw(base.profile, {t_power: c ** k})
@@ -334,7 +310,7 @@ def _is_unit(items) -> bool:
     if len(items) != 1:
         return False
     nw, c = items[0]
-    return not (nw.l_block or nw.w_block) and c.is_monomial() and abs(c.items()[0][1]) == 1
+    return not nw.letters and c.is_monomial() and abs(c.items()[0][1]) == 1
 
 
 def _scalar_of(el: Element, node, profile: DeformationProfile) -> LaurentPoly:

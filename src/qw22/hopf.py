@@ -193,17 +193,10 @@ def map_word_counit(word: Word) -> LaurentPoly:
 @lru_cache(maxsize=1 << 14)
 def _word_coproduct(nw: NormalWord) -> TensorElement:
     # Group-like T-power in one step, then the ladder images.
-    d = nw.t_exp
-    tw = NormalWord(t_exp=d)
+    tw = NormalWord(t_exp=nw.t_exp)
     out = TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
-    for n, k in nw.l_block:
-        img = _gen_coproduct(GeneratorSymbol("L", n))
-        for _ in range(k):
-            out = tensor_multiply(out, img)
-    for n, k in nw.w_block:
-        img = _gen_coproduct(GeneratorSymbol("W", n))
-        for _ in range(k):
-            out = tensor_multiply(out, img)
+    for letter in nw.letters:
+        out = tensor_multiply(out, _gen_coproduct(GeneratorSymbol(*letter)))
     return out
 
 
@@ -211,11 +204,8 @@ def _word_coproduct(nw: NormalWord) -> TensorElement:
 def _word_antipode(nw: NormalWord) -> Element:
     # S(T^d X1...Xr) = S(Xr)...S(X1) T^-d, multiplied left to right.
     out = Element.unit(STANDARD)
-    for kind, block in (("W", nw.w_block), ("L", nw.l_block)):
-        for n, k in reversed(block):
-            image = _gen_antipode(GeneratorSymbol(kind, n))
-            for _ in range(k):
-                out = multiply(out, image)
+    for letter in reversed(nw.letters):
+        out = multiply(out, _gen_antipode(GeneratorSymbol(*letter)))
     if nw.t_exp:
         out = multiply(out, _t_power(-nw.t_exp))
     return out
@@ -233,7 +223,7 @@ def counit(x: Element) -> LaurentPoly:
     _require_standard(x)
     total = LaurentPoly.zero()
     for nw, c in x._terms.items():
-        if not (nw.l_block or nw.w_block):
+        if not nw.letters:
             total = total + c
     return total
 
@@ -295,7 +285,7 @@ def _counit_diagram(slot: int, x: Element) -> TensorElement:
     """(eps (x) 1) delta = 1 (x) x at slot 0, (1 (x) eps) delta = x (x) 1 at 1."""
     got = {}
     for key, c in coproduct(x)._terms.items():
-        if not (key[slot].l_block or key[slot].w_block):
+        if not key[slot].letters:
             _add_term(got, _with_slot(key, slot, UNIT_WORD), c)
     want = tensor_of(*_with_slot((x, x), slot, Element.unit(STANDARD)))
     return TensorElement._raw(STANDARD, got) - want

@@ -222,14 +222,6 @@ def apply_word(word: Word, v: ModuleVector) -> ModuleVector:
     return ModuleVector._raw(profile, out)
 
 
-def _acting_letters(nw):
-    """The letters of a T-free normal word, rightmost first."""
-    for kind, block in (("W", nw.w_block), ("L", nw.l_block)):
-        for n, mult in reversed(block):
-            for _ in range(mult):
-                yield kind, n
-
-
 def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
     """Act with a normally ordered Element on a module vector."""
     if v.profile is CLASSICAL:
@@ -244,7 +236,7 @@ def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
     for nw, c in x._terms.items():
         if nw.t_exp:
             raise ProfileError("T has no module action; only the T-free subalgebra is represented")
-        for k, eps, cv, grades in _follow(_acting_letters(nw), v._terms):
+        for k, eps, cv, grades in _follow(reversed(nw.letters), v._terms):
             _add_term(out, FockLabel(k, eps), _weighted(v.profile, cv, grades) * c)
     return ModuleVector._raw(v.profile, out)
 
@@ -407,7 +399,7 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
     lo, hi = _grade_window(k_range)
     nf = normalize(word, _REWRITE_FOR.get(profile, DeformationProfile.STANDARD))
     raw = word[::-1]
-    terms = [(list(_acting_letters(nw)), c) for nw, c in nf._terms.items()]
+    terms = [(nw.letters[::-1], c) for nw, c in nf._terms.items()]
     if profile is CLASSICAL:
         bits = 0
         image = lambda c: (sum(c._terms.values()), 0)

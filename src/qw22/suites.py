@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oscillator as osc
 from .algebra import (
@@ -42,30 +42,25 @@ from .hopf import (
 from .laurent import LaurentPoly, q_identity_check, q_int
 from .oscillator import check_relation, oracle_consistency, word_text
 
-@dataclass(frozen=True)
-class SuiteBounds:
-    max_index: int = 4
-    max_len: int = 3
-    k_range: tuple = (-8, 8)
-    seed: int = 0
-    cases: int = 200
 
-    def __post_init__(self):
+class SuiteBounds(namedtuple("SuiteBounds", "max_index max_len k_range seed cases",
+                             defaults=(4, 3, (-8, 8), 0, 200))):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("max_index", "max_len", "cases"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         osc._grade_window(self.k_range)
+        return self
 
 
-@dataclass
-class CheckReport:
-    suite: str
-    profile: str
-    bounds: SuiteBounds
-    cases_run: int
-    cases_failed: int
-    first_counterexample: str | None
-    wall_time_s: float
+class CheckReport(namedtuple(
+    "CheckReport",
+    "suite profile bounds cases_run cases_failed first_counterexample wall_time_s",
+)):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

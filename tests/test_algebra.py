@@ -1,6 +1,7 @@
 """Normal ordering, the two deformation profiles, and element arithmetic."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -83,6 +84,43 @@ def test_normal_word_validation():
         NormalWord(0, ((3, 1), (1, 1)), ())
     with pytest.raises(ValueError):
         NormalWord(0, ((1, 0),), ())
+
+
+def test_normal_word_checks_and_immutability():
+    cases = [
+        ((2**63,), ArithmeticBoundError, "T-power beyond the checked window"),
+        ((0, ((2**20 + 1, 1),)), ArithmeticBoundError, "generator index 1048577 beyond cap"),
+        ((0, (), ((0, 1), (2, -1))), ValueError, "block multiplicities must be positive"),
+        ((0, (), ((2, 1), (2, 1))), ValueError, "block indices must strictly ascend"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error, match=message):
+            NormalWord(*args)
+    w = NormalWord(-1, ((0, 2),), ((3, 1),))
+    for name in ("t_exp", "l_block", "w_block", "letters", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 5)
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert repr(w) == "NormalWord(t_exp=-1, l_block=((0, 2),), w_block=((3, 1),))"
+
+
+def test_fold_words_are_constructor_words():
+    # The fold wraps (T-power, tail) as the word: it must be the word the
+    # constructor builds from the same blocks, in every derived view.
+    built = NormalWord(-2, ((1, 2), (3, 1)), ((0, 1), (4, 2)))
+    ((got, _),) = normalize(built.generator_sequence()).terms()
+    assert type(got) is NormalWord and got == built and hash(got) == hash(built)
+    assert tuple(got) == (-2, (("L", 1), ("L", 1), ("L", 3), ("W", 0), ("W", 4), ("W", 4)))
+    assert got.sort_key() == built.sort_key() == (-2, ((1, 2), (3, 1)), ((0, 1), (4, 2)))
+    assert got.text() == built.text() == "T^-2 L[1]^2 L[3] W[0] W[4]^2"
+    assert got.to_json_obj() == built.to_json_obj() == {
+        "t": -2, "l": [[1, 2], [3, 1]], "w": [[0, 1], [4, 2]]
+    }
+    x = normalize((W(2), L(1), L(-1), L(1)))
+    for nw, _ in multiply(x, normalize((T, L(0), W(-1), W(-1)))).terms():
+        again = NormalWord(nw.t_exp, nw.l_block, nw.w_block)
+        assert again == nw and hash(again) == hash(nw) and again.letters == nw.letters
+        assert again.text() == nw.text() and again.to_json_obj() == nw.to_json_obj()
 
 
 def test_is_normal():

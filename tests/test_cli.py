@@ -299,6 +299,18 @@ def test_import_loads_no_numpy():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_dataclasses():
+    # qw22 builds no dataclass, and the package does not load the check
+    # suites until the CLI asks for them; -S keeps site hooks out.
+    code = (
+        "import sys, qw22; print('dataclasses' in sys.modules, 'qw22.suites' in sys.modules); "
+        "import qw22.cli; print('dataclasses' in sys.modules)"
+    )
+    proc = _run_python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\nFalse\n"
+
+
 GOLDEN_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_check_reports.json").read_text()
 )

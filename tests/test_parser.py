@@ -1,5 +1,6 @@
 """Expression grammar: atoms, precedence, errors, and text round-trips."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from qw22 import (
     parse_element,
     q_bracket,
 )
+from qw22.exprparse import Diff, Gen, Lit, Pow, Prod, Sum, Var, parse
 
 GEN = DeformationProfile.GENERALIZED
 
@@ -150,3 +152,18 @@ def test_round_trip_generalized():
         word = tuple(rng.choice(syms) for _ in range(rng.randint(0, 3)))
         x = element_from(word, GEN)
         assert parse_element(element_text(x), GEN) == x
+
+
+def test_syntax_trees_compare_by_node_type_and_fields():
+    text = "qbr(L[1] + 2, -W[0]^3; q, q^-1) * (T - 1)"
+    tree = parse(text)
+    assert tree == parse(text) and hash(tree) == hash(parse(text))
+    assert tree != parse(text.replace("+ 2", "+ 3")) and tree != parse(" " + text)
+    x, y = parse("L[1]"), parse("W[2]")
+    assert x == Gen("L", 1, 1, 1) and x != Var("L", 1, 1)
+    nodes = [cls(x, y, 1, 4) for cls in (Sum, Diff, Prod)] + [Pow(x, y, 1, 4)]
+    for a, b in itertools.combinations(nodes, 2):
+        assert a != b and not a == b
+    assert Lit(2, 1, 1) != (2, 1, 1) and parse("2") == Lit(2, 1, 1)
+    with pytest.raises(AttributeError):
+        tree.line = 2
