@@ -121,9 +121,6 @@ class NormalWord(tuple):
     l_block = property(lambda self: self.sort_key()[1])
     w_block = property(lambda self: self.sort_key()[2])
 
-    def is_unit(self) -> bool:
-        return not (self[0] or self[1])
-
     def generator_sequence(self) -> Word:
         t = self[0]
         return (T if t > 0 else T_INV,) * abs(t) + tuple(GeneratorSymbol(*x) for x in self[1])

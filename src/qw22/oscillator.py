@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, lru_cache
+from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -107,15 +108,6 @@ class ModuleVector(Combination):
             if c:
                 _check_grade(label.k)
         super().__init__(profile, terms)
-
-    def at_q_one(self) -> dict:
-        """Coefficients evaluated at q = 1, zero values dropped."""
-        out = {}
-        for label, c in self._terms.items():
-            v = c.eval(1)
-            if v:
-                out[label] = v
-        return out
 
 
 def basis_vector(profile: OscillatorProfile, k: int, eps: int) -> ModuleVector:
@@ -344,21 +336,6 @@ def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
     return True, None
 
 
-def _walk(letters, k: int, eps: int):
-    """Follow the label |k, eps> through T-free letters in acting order,
-    checking each step's grade as `apply_generator` does.  Returns the
-    grades whose weights it picks up and its end label, or None where it
-    dies: at lambda_0 = 0, or where a W meets an occupied vector."""
-    grades = []
-    for kind, n in letters:
-        if not k or (eps and kind == "W"):
-            return None
-        grades.append(k)
-        k = _check_grade(k + n)
-        eps |= kind == "W"
-    return grades, (k, eps)
-
-
 def _image_bounds(raw, terms, lo: int, hi: int, nvars: int) -> tuple:
     """(B, S) for an image injective on every difference the call compares.
 
@@ -384,13 +361,17 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
     every basis vector in range.  The classical profile compares both sides
     of the standard normal form at q = 1.
 
-    Each label |k, eps> is walked through the raw word, then through each
-    normal-form term, with the grade checks of `apply_word` and
-    `apply_element` in their order.  Values are exact integer images n X^e
-    under q -> X^S, p -> X^(S+1), X = 2^B, a ring homomorphism, injective on
-    every difference compared (`_image_bounds`): the verdicts and witnesses
-    are those of the full polynomial comparison.  The classical profile
-    evaluates every factor at q = 1 instead, also a homomorphism (B = 0).
+    Each side (the raw word, then each normal-form term) is read from the
+    prefix sums s_i of its indices in acting order: from |k, 0> its path
+    meets the grades k + s_0 .. k + s_(m-1) and ends at grade k + s_m, unless
+    one of them is 0 or the side holds two W letters.  The grade checks of
+    `apply_word` and `apply_element` are kept in their order.  Only |k, 0> is
+    compared: a W-free side acts on |k, 1> as on |k, 0> and any other side
+    kills it, so |k, 1> repeats part of the |k, 0> comparison.  Values are
+    exact integer images n X^e under q -> X^S, p -> X^(S+1), X = 2^B, a ring
+    homomorphism injective on every difference compared (`_image_bounds`):
+    the verdicts and witnesses are those of the full polynomial comparison.
+    The classical profile evaluates every factor at q = 1 instead (B = 0).
     """
     word = tuple(word)
     for sym in word:
@@ -409,30 +390,50 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
         bits, stride = _image_bounds(raw, terms, lo, hi, profile.nvars)
         image = lambda c: c.kronecker_image(bits, stride)
         direct_weight = nf_weight = cache(lambda g: image(ladder_weight(profile, g)))
-    # The raw word with sign +1 first, then the normal form's terms negated.
+    # Plan each side, the raw word with sign +1, then the normal form's terms
+    # negated: its prefix sums, the first step at which each k meets lambda_0
+    # and the step of its second W (m if none).  Sides share an end label
+    # (k + s_m, [a W was met]) at one k iff at every k.
+    near, groups = [], {}
     sides = [(raw, direct_weight, (1, 0))] + [(t, nf_weight, image(-c)) for t, c in terms]
+    for letters, weight, coeff in sides:
+        m = len(letters)
+        prefix = list(accumulate((n for _, n in letters), initial=0))
+        zero_at = {-prefix[i]: i for i in reversed(range(m))}
+        w_at = [i for i, (kind, _) in enumerate(letters) if kind == "W"] + [m, m]
+        if max(abs(lo), abs(hi)) + max(map(abs, prefix)) > GRADE_CAP:
+            near.append((prefix, zero_at, w_at[1]))
+        if w_at[1] == m:  # a second W letter kills every path
+            group = groups.setdefault((prefix[m], w_at[0] < m), [])
+            group.append((prefix[:m], zero_at, weight, coeff))
+    # Only |k, 0> is compared.  At |k, 1> a side with a W dies and a W-free
+    # side ends where it ends from |k, 0>, with eps = 1, so the difference
+    # there is the |k, 0> one on the W-free sides' labels, which one-W sides
+    # (ending at eps = 1) never share: it vanishes whenever the |k, 0> one
+    # does.  Nor can |k, 1> leave the cap first: its path dies at the first
+    # W, the |k, 0> one at the second, so it walks a prefix of it.
     for k in range(lo, hi + 1):
         _check_grade(k)
-        for eps in (0, 1):
-            delta = {}  # the image of direct - via normal form, per end label
-            for letters, weight, (n, e) in sides:
-                walked = _walk(letters, k, eps)
-                if walked is None:
+        # A side leaves the cap at its first grade k + s_(j+1) beyond it,
+        # unless its path died at step j or before.
+        for prefix, zero_at, second_w in near:
+            for s in prefix[1:min(zero_at.get(k, second_w), second_w) + 1]:
+                _check_grade(k + s)
+        for group in groups.values():
+            total, f = 0, 0  # the image of direct - via normal form, over X^f
+            for grades, zero_at, weight, (n, e) in group:
+                if k in zero_at:
                     continue
-                grades, label = walked
-                for g in grades:
-                    wn, we = weight(g)
+                for s in grades:
+                    wn, we = weight(k + s)
                     n *= wn
                     e += we
-                if label in delta:  # a sum aligns to the smaller exponent
-                    m, f = delta[label]
-                    if e > f:
-                        n, e, m, f = m, f, n, e
-                    n += m << bits * (f - e)
-                delta[label] = n, e
-            if any(n for n, _ in delta.values()):
-                v = basis_vector(profile, k, eps)
-                shown = f"word {word_text(word)} on |{k},{eps}>: direct = {apply_word(word, v)}"
+                if e > f:  # a sum aligns to the smaller exponent
+                    n, e, total, f = total, f, n, e
+                total, f = n + (total << bits * (f - e)), e
+            if total:
+                v = basis_vector(profile, k, 0)
+                shown = f"word {word_text(word)} on |{k},0>: direct = {apply_word(word, v)}"
                 if profile is CLASSICAL:
                     return False, f"{shown}, normal form at q=1 differs"
                 return False, f"{shown}, via normal form = {apply_element(nf, v)}"

@@ -79,7 +79,7 @@ def test_normal_word_validation():
     w = NormalWord(2, ((1, 2), (3, 1)), ((0, 1),))
     assert w.text() == "T^2 L[1]^2 L[3] W[0]"
     assert w.generator_sequence() == (T, T, L(1), L(1), L(3), W(0))
-    assert UNIT_WORD.is_unit() and UNIT_WORD.text() == ""
+    assert not (UNIT_WORD.t_exp or UNIT_WORD.letters) and UNIT_WORD.text() == ""
     with pytest.raises(ValueError):
         NormalWord(0, ((3, 1), (1, 1)), ())
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The graded ladder module and the independent relation oracle."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -32,7 +33,7 @@ from qw22 import (
     oracle_consistency,
     q_int,
 )
-from qw22.oscillator import GRADE_CAP, word_text
+from qw22.oscillator import GRADE_CAP, FockLabel, word_text
 
 C = OscillatorProfile.CLASSICAL
 Q = OscillatorProfile.Q_DEFORMED
@@ -320,6 +321,12 @@ def test_oracle_rejects_a_corrupted_normal_form(monkeypatch, prof, edit):
     assert oracle_consistency(word, prof, (0, 2)) == (witness is None, witness)
 
 
+def at_q_one(v) -> dict:
+    """The coefficients of a module vector evaluated at q = 1, zero values
+    dropped."""
+    return {label: c.eval(1) for label, c in v.terms() if c.eval(1)}
+
+
 def reference_oracle(word, prof, k_range):
     """The full polynomial comparison oracle_consistency stands for:
     apply_word against apply_element of the normal form it sees, basis
@@ -332,7 +339,7 @@ def reference_oracle(word, prof, k_range):
             direct = apply_word(word, v)
             shown = f"word {word_text(word)} on |{k},{eps}>: direct = {direct}"
             if prof is C:
-                if direct.at_q_one() != apply_element(nf, basis_vector(Q, k, eps)).at_q_one():
+                if at_q_one(direct) != at_q_one(apply_element(nf, basis_vector(Q, k, eps))):
                     return False, f"{shown}, normal form at q=1 differs"
             elif direct != apply_element(nf, v):
                 return False, f"{shown}, via normal form = {apply_element(nf, v)}"
@@ -498,6 +505,51 @@ def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
                 oracle_consistency(word, prof, (top + 1, top + 1))
             with pytest.raises(ArithmeticBoundError, match=rf"^grade {-top - 1} beyond cap {top}$"):
                 oracle_consistency(word, prof, (-top - 1, 0))
+
+
+def test_oracle_path_dies_before_it_leaves_the_cap(monkeypatch):
+    """A path that meets grade 0 ends there, one step before it would leave
+    the cap, so the call returns; one grade further on the same word leaves
+    the cap at that step and raises there.  The words are W-free or hold one
+    W and are their own normal forms, so no q-integer near the cap is built,
+    and every path dies or raises before it picks up a weight."""
+    top = GRADE_CAP
+    monkeypatch.setattr(oscillator, "ladder_weight", lambda *args: pytest.fail("built a weight"))
+    # word, the grade whose path meets 0, the grade it leaves at from one further on
+    cases = [
+        ((L(-top), L(-top), L(-1)), 1, 1 - 2 * top),
+        ((L(-top), L(-top), W(-1)), 1, 1 - 2 * top),
+        ((L(1), L(top), L(top)), -top, top + 1),
+        ((L(1), L(top), W(top)), -top, top + 1),
+    ]
+    for word, k, leaves in cases:
+        for prof in (C, Q, P2):
+            assert oracle_consistency(word, prof, (k, k)) == (True, None)
+            for window in ((k + 1, k + 1), (k, k + 1)):
+                with pytest.raises(ArithmeticBoundError, match=rf"^grade {leaves} beyond cap {top}$"):
+                    oracle_consistency(word, prof, window)
+
+
+def test_occupied_labels_follow_the_empty_ones():
+    """What lets oracle_consistency compare on |k, 0> alone: a word with a W
+    kills |k, 1>, and a W-free word acts on |k, 1> as on |k, 0> with every
+    label's eps set to 1.  The same holds for the action of its normal form,
+    exhaustively over short words."""
+    syms = [L(n) for n in range(-2, 3)] + [W(n) for n in range(-2, 3)]
+    words = [w for m in range(4) for w in itertools.product(syms, repeat=m)]
+    rewrite = {Q: DeformationProfile.STANDARD, P2: DeformationProfile.GENERALIZED}
+    for prof in (C, Q, P2):
+        for word in words:
+            actions = [functools.partial(apply_word, word)]
+            if prof in rewrite:
+                actions.append(functools.partial(apply_element, algebra.normalize(word, rewrite[prof])))
+            has_w = any(sym.kind == "W" for sym in word)
+            for k in range(-4, 5):
+                for act in actions:
+                    empty = act(basis_vector(prof, k, 0))
+                    occupied = {FockLabel(label.k, 1): c for label, c in empty.terms()}
+                    want = ModuleVector(prof, {} if has_w else occupied)
+                    assert act(basis_vector(prof, k, 1)) == want, (word, prof, k)
 
 
 # Laurent products of one oracle_consistency call over grades -8..8, with
