@@ -72,7 +72,6 @@ from .oscillator import (
     check_relation,
     ladder_weight,
     oracle_consistency,
-    shift,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +119,6 @@ __all__ = [
     "q_bracket",
     "q_identity_check",
     "q_int",
-    "shift",
     "STANDARD",
     "substitute_p_inverse",
     "T",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, lru_cache
-from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -32,7 +31,6 @@ from .algebra import (
     Element,
     GeneratorSymbol,
     Word,
-    _add_scaled,
     _add_term,
     _bracket,
     normalize,
@@ -120,98 +118,76 @@ def basis_vector(profile: OscillatorProfile, k: int, eps: int) -> ModuleVector:
 # -- operator actions -----------------------------------------------------
 
 
-def apply_ladder(op: str, v: ModuleVector) -> ModuleVector:
-    """Apply one of the four ladder operators: a, a_dag, b, b_dag.  Each
-    maps distinct basis vectors to distinct ones, so no terms collect."""
-    profile = v.profile
-    out = {}
-    if op == "a_dag":
-        for (k, eps), c in v._terms.items():
-            out[FockLabel(_check_grade(k + 1), eps)] = c
-    elif op == "a":
-        for (k, eps), c in v._terms.items():
-            if k:
-                label = FockLabel(_check_grade(k - 1), eps)
-                out[label] = c * ladder_weight(profile, k)
-    elif op == "b":
-        for (k, eps), c in v._terms.items():
-            if eps == 1:
-                out[FockLabel(k, 0)] = c
-    elif op == "b_dag":
-        for (k, eps), c in v._terms.items():
-            if eps == 0:
-                out[FockLabel(k, 1)] = c
-    else:
-        raise ValueError(f"unknown ladder operator {op!r}")
-    return ModuleVector._raw(profile, out)
+# Every operator is an op (kind, n) that moves the grade by n, mapped here
+# to (weighted, the occupancy it needs).  L and W take the weight lambda_k of
+# the grade k they meet; W, b and b_dag need an occupancy and leave the other
+# one.  A path dies where L or W meets k = 0 or an op finds the wrong
+# occupancy.  A generator symbol is an op; so are the ladder operators.
+_OPS = {"L": (True, None), "W": (True, 0), "shift": (False, None), "b": (False, 1), "b_dag": (False, 0)}
+_LADDER = {"a": ("L", -1), "a_dag": ("shift", 1), "b": ("b", 0), "b_dag": ("b_dag", 0)}
+_NO_T = "T has no module action; only the T-free subalgebra is represented"
 
 
-def shift(n: int, v: ModuleVector) -> ModuleVector:
-    """The pure grade shift: the n-th power of the raising operator,
-    meaningful for every integer n since raising is invertible."""
-    out = {}
-    for (k, eps), c in v._terms.items():
-        out[FockLabel(_check_grade(k + n), eps)] = c
-    return ModuleVector._raw(v.profile, out)
+def _follow(ops, terms: dict) -> list:
+    """Follow each basis label of `terms` through `ops`, (kind, n) pairs in
+    acting order, in integers.
 
-
-def apply_generator(sym: GeneratorSymbol, v: ModuleVector) -> ModuleVector:
-    """Module action of one algebra generator (T-free subalgebra only).
-    The grade shift k -> k + n is injective, so no terms collect."""
-    profile = v.profile
-    kind, n = sym
-    if kind not in ("L", "W"):
-        raise ProfileError("T has no module action; only the T-free subalgebra is represented")
-    out = {}
-    for (k, eps), c in v._terms.items():
-        # lambda_k vanishes only at k = 0; check the grade before building
-        # the weight, which at the grade cap has 2^20 terms.
-        if k and not (kind == "W" and eps):
-            label = FockLabel(_check_grade(k + n), 1 if kind == "W" else eps)
-            out[label] = c * ladder_weight(profile, k)
-    return ModuleVector._raw(profile, out)
-
-
-def _follow(letters, terms: dict) -> list:
-    """Follow each basis label of `terms` through `letters`, (kind, index)
-    pairs in acting order, in integers.
-
-    A step checks what `apply_generator` checks, at the same letter and in
-    the same term order: a T letter raises ProfileError, a grade leaving the
-    cap raises ArithmeticBoundError, and only while some path survives.  A
-    path dies where lambda_k = 0 (k = 0 in every profile) or where a W meets
-    an occupied vector.  Returns (k, eps, coeff, grades) for each surviving
-    path: its target label, its input coefficient and the grades whose
-    weights it picks up, in acting order.
+    A step raises ProfileError for a kind outside `_OPS` (a T letter) and
+    ArithmeticBoundError for a grade leaving the cap, in term order and only
+    while some path survives.  Returns (k, eps, coeff, grades) for each
+    surviving path: its target label, its input coefficient and the grades
+    whose weights it picks up, in acting order.
     """
     paths = [(k, eps, c, []) for (k, eps), c in terms.items()]
-    for kind, n in letters:
+    for kind, n in ops:
         if not paths:
             break
-        if kind not in ("L", "W"):
-            raise ProfileError("T has no module action; only the T-free subalgebra is represented")
+        if kind not in _OPS:
+            raise ProfileError(_NO_T)
+        weighted, needs = _OPS[kind]
         alive = []
         for k, eps, c, grades in paths:
-            if k and not (kind == "W" and eps):
+            if weighted and not k or needs is not None and eps != needs:
+                continue
+            if weighted:
                 grades.append(k)
-                alive.append((_check_grade(k + n), 1 if kind == "W" else eps, c, grades))
+            alive.append((_check_grade(k + n), eps if needs is None else 1 - needs, c, grades))
         paths = alive
     return paths
 
 
-def _weighted(profile: OscillatorProfile, c: LaurentPoly, grades) -> LaurentPoly:
-    for k in grades:
-        c = c * ladder_weight(profile, k)
-    return c
+def _act(side, v: ModuleVector) -> ModuleVector:
+    """Act on v with a side: (scalar, ops) terms, ops in acting order.  The
+    weights of a path are built only once it has passed every grade check:
+    at the grade cap lambda_k has 2^20 terms."""
+    profile = v.profile
+    out: dict = {}
+    for scalar, ops in side:
+        for k, eps, c, grades in _follow(ops, v._terms):
+            for g in grades:
+                c = c * ladder_weight(profile, g)
+            _add_term(out, FockLabel(k, eps), c * scalar)
+    return ModuleVector._raw(profile, out)
+
+
+def apply_ladder(op: str, v: ModuleVector) -> ModuleVector:
+    """Apply one of the four ladder operators: a = L[-1], a_dag (the grade
+    shift by 1), b, b_dag."""
+    if op not in _LADDER:
+        raise ValueError(f"unknown ladder operator {op!r}")
+    return _act([(LaurentPoly.one(v.profile.nvars), (_LADDER[op],))], v)
+
+
+def apply_generator(sym: GeneratorSymbol, v: ModuleVector) -> ModuleVector:
+    """Module action of one algebra generator (T-free subalgebra only)."""
+    if sym[0] not in ("L", "W"):
+        raise ProfileError(_NO_T)
+    return _act([(LaurentPoly.one(v.profile.nvars), (sym,))], v)
 
 
 def apply_word(word: Word, v: ModuleVector) -> ModuleVector:
     """Act with a free word, rightmost symbol first."""
-    profile = v.profile
-    out = {}
-    for k, eps, c, grades in _follow(reversed(word), v._terms):
-        out[FockLabel(k, eps)] = _weighted(profile, c, grades)
-    return ModuleVector._raw(profile, out)
+    return _act([(LaurentPoly.one(v.profile.nvars), reversed(word))], v)
 
 
 def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
@@ -224,13 +200,115 @@ def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
     expected = _REWRITE_FOR[v.profile]
     if x.profile is not expected:
         raise ProfileError(f"profile {v.profile.value} represents the {expected.value} algebra")
-    out: dict = {}
-    for nw, c in x._terms.items():
-        if nw.t_exp:
-            raise ProfileError("T has no module action; only the T-free subalgebra is represented")
-        for k, eps, cv, grades in _follow(reversed(nw.letters), v._terms):
-            _add_term(out, FockLabel(k, eps), _weighted(v.profile, cv, grades) * c)
-    return ModuleVector._raw(v.profile, out)
+
+    def side():
+        for nw, c in x._terms.items():
+            if nw.t_exp:
+                raise ProfileError(_NO_T)
+            yield c, nw.letters[::-1]
+
+    return _act(side(), v)
+
+
+# -- the module comparator --------------------------------------------------
+
+
+def _image_bounds(terms, lo: int, hi: int, nvars: int) -> tuple:
+    """(B, S) for an image injective on every difference of `terms`,
+    (scalar, ops) pairs, that the call compares.
+
+    lambda_g has l1 norm |g| and p-exponents in [-|g|, |g|], and a term's
+    path meets grades of size at most G, the window's largest plus its ops'
+    |n| (and at most GRADE_CAP), at its m weighted ops.  So a difference has
+    l1 norm at most sum_t |c_t|_1 G_t^m_t, and p-exponents within the
+    largest |p-exponent of c_t| + m_t G_t."""
+    size = span = 0
+    for c, ops in terms:
+        g = min(max(abs(lo), abs(hi)) + sum(abs(n) for _, n in ops), GRADE_CAP)
+        m = sum(_OPS[kind][0] for kind, _ in ops)
+        size += sum(map(abs, c._terms.values())) * g**m
+        span = max(span, max((abs(ep) for _, ep in c._terms), default=0) + m * g)
+    return size.bit_length() + 1, 2 * span + 1 if nvars == 2 else 1
+
+
+def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, witness) -> tuple:
+    """Whether each difference, a list of (scalar, ops) with ops in acting
+    order, acts as zero on every |k, eps> with lo <= k <= hi and eps in
+    `occupancies`.  Returns (True, None), or (False, witness(k, eps, i)) at
+    the first k, then eps, then difference i where it does not.
+
+    A term is read from the prefix sums s_j of its ops' n: from |k, eps> its
+    path meets grade k + s_j at op j, dies at the first weighted op with
+    k + s_j = 0 or at the first op that finds the wrong occupancy (which
+    does not depend on k), and otherwise ends at (k + s_m, eps').  Terms that
+    share an end label share it at every k.  The grade checks of the vector
+    path (`_act`) are kept in their order: k, then each term's grades up to
+    its death, term by term, before its difference is compared.  Values are
+    exact integer images n X^e under q -> X^S, p -> X^(S+1), X = 2^B, a ring
+    homomorphism injective on every difference compared (`_image_bounds`),
+    so the verdicts are those of the polynomial comparison.  The classical
+    profile evaluates at q = 1 instead (B = 0), where lambda_g = g.
+    """
+    if profile is CLASSICAL:
+        bits = 0
+        image = lambda c: (sum(c._terms.values()), 0)
+        weight = lambda g: (g, 0)
+    else:
+        bits, stride = _image_bounds([t for diff in diffs for t in diff], lo, hi, profile.nvars)
+        image = lambda c: (1, 0) if c.is_one() else c.kronecker_image(bits, stride)
+        weight = cache(lambda g: image(ladder_weight(profile, g)))
+    # Plan each (eps, term) in one pass over its ops: its prefix sums, the
+    # grades whose weights it takes, its dead set {-s_j: first weighted op j}
+    # and the op that finds the wrong occupancy (m if none).  Surviving terms
+    # are grouped by end label (s_m, eps').
+    reach = max(abs(lo), abs(hi))
+    plans = []
+    for eps0 in occupancies:
+        for i, diff in enumerate(diffs):
+            near, groups = [], {}
+            for scalar, ops in diff:
+                s, eps, kill = 0, eps0, len(ops)
+                prefix, grades, dead = [0], [], {}
+                for j, (kind, n) in enumerate(ops):
+                    weighted, needs = _OPS[kind]
+                    if needs is not None:
+                        if eps != needs:
+                            kill = j
+                            break
+                        eps = 1 - needs
+                    if weighted:
+                        grades.append(s)
+                        dead.setdefault(-s, j)
+                    s += n
+                    prefix.append(s)
+                else:
+                    groups.setdefault((s, eps), []).append((grades, dead, image(scalar)))
+                if reach + max(map(abs, prefix)) > GRADE_CAP:
+                    near.append((prefix, dead, kill))
+            plans.append((eps0, i, near, groups.values()))
+    for k in range(lo, hi + 1):
+        _check_grade(k)
+        for eps, i, near, groups in plans:
+            # A term leaves the cap at its first grade k + s_(j+1) beyond it,
+            # unless its path died at op j or before.
+            for prefix, dead, kill in near:
+                for s in prefix[1:dead.get(k, kill) + 1]:
+                    _check_grade(k + s)
+            for group in groups:
+                total, f = 0, 0  # the image of the difference, over X^f
+                for grades, dead, (n, e) in group:
+                    if k in dead:
+                        continue
+                    for s in grades:
+                        wn, we = weight(k + s)
+                        n *= wn
+                        e += we
+                    if e > f:  # a sum aligns to the smaller exponent
+                        n, e, total, f = total, f, n, e
+                    total, f = n + (total << bits * (f - e)), e
+                if total:
+                    return False, witness(k, eps, i)
+    return True, None
 
 
 # -- relation checks ------------------------------------------------------
@@ -247,9 +325,10 @@ _RELATION_IDS = {
 
 def _relation_sides(rel, profile: OscillatorProfile):
     """Operator identities as (scalar, ops) term lists, one (lhs, rhs)
-    pair per identity covered by the relation id.  An op is
-    ("ladder", name), ("shift", n) or a generator symbol; the leftmost op
-    acts last.
+    pair per identity covered by the relation id.  An op is a (kind, n)
+    pair of `_OPS`: a generator symbol, a grade shift ("shift", n) or a
+    ladder operator, a = L[-1], a_dag = ("shift", 1), b or b_dag.  The
+    leftmost op acts last.
 
     The boson, fermion and shift identities are the module's own.  The
     ladder identities LE, qLE and gq are the algebra's defining relations
@@ -261,7 +340,7 @@ def _relation_sides(rel, profile: OscillatorProfile):
     q = lambda e: LaurentPoly.q_power(e, nv)
     # r = q^-1 in the q-deformed profile, r = p in the two-param one.
     r = lambda e: q(-e) if profile is Q_DEFORMED else LaurentPoly.p_power(e)
-    a, a_dag = ("ladder", "a"), ("ladder", "a_dag")
+    a, a_dag, b, b_dag = _LADDER.values()
 
     if isinstance(rel, str):
         rel = (rel,)
@@ -277,7 +356,6 @@ def _relation_sides(rel, profile: OscillatorProfile):
     elif name in ("qboson", "gboson"):
         yield [(r(1), (a, a_dag)), (-q(1), (a_dag, a))], [(one, ())]
     elif name == "fermion":
-        b, b_dag = ("ladder", "b"), ("ladder", "b_dag")
         yield [(one, (b, b_dag)), (one, (b_dag, b))], [(one, ())]
         yield [(one, (b, b))], []
         yield [(one, (b_dag, b_dag))], []
@@ -298,21 +376,6 @@ def _relation_sides(rel, profile: OscillatorProfile):
             yield tuple(sides)
 
 
-def _eval_side(side, v: ModuleVector) -> ModuleVector:
-    out: dict = {}
-    for scalar, ops in side:
-        w = v
-        for op in reversed(ops):
-            if op[0] == "ladder":
-                w = apply_ladder(op[1], w)
-            elif op[0] == "shift":
-                w = shift(op[1], w)
-            else:
-                w = apply_generator(op, w)
-        _add_scaled(out, w._terms, scalar)
-    return ModuleVector._raw(v.profile, out)
-
-
 def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
     """Verify an operator identity on every |k, eps> with k in k_range.
 
@@ -322,38 +385,18 @@ def check_relation(rel, profile: OscillatorProfile, k_range) -> tuple:
     window raises ValueError, an id of another profile ProfileError.
     Returns (ok, witness) with a printed counterexample."""
     lo, hi = _grade_window(k_range)
-    sides = list(_relation_sides(rel, profile))
-    for k in range(lo, hi + 1):
-        for eps in (0, 1):
-            v = basis_vector(profile, k, eps)
-            for lhs, rhs in sides:
-                left = _eval_side(lhs, v)
-                right = _eval_side(rhs, v)
-                if left != right:
-                    return False, (
-                        f"rel {rel!r} on |{k},{eps}>: lhs = {left}, rhs = {right}"
-                    )
-    return True, None
+    sides = [
+        [[(c, ops[::-1]) for c, ops in side] for side in pair]
+        for pair in _relation_sides(rel, profile)
+    ]
 
+    def witness(k, eps, i):
+        v = basis_vector(profile, k, eps)
+        left, right = (_act(side, v) for side in sides[i])
+        return f"rel {rel!r} on |{k},{eps}>: lhs = {left}, rhs = {right}"
 
-def _image_bounds(raw, terms, lo: int, hi: int, nvars: int) -> tuple:
-    """(B, S) for an image injective on every difference the call compares.
-
-    lambda_g has l1 norm |g| and p-exponents in [-|g|, |g|], and a path
-    through m letters meets grades of size at most G, the window's largest
-    plus the letters' |indices| (and at most GRADE_CAP).  So a difference has
-    l1 norm at most G^m + sum_t |c_t|_1 G_t^m_t, and p-exponents within the
-    larger of m G and |p-exponent of c_t| + m_t G_t."""
-    def reach(letters):
-        return min(max(abs(lo), abs(hi)) + sum(abs(n) for _, n in letters), GRADE_CAP)
-
-    g = reach(raw)
-    size, span = g ** len(raw), len(raw) * g
-    for letters, c in terms:
-        g = reach(letters)
-        size += sum(map(abs, c._terms.values())) * g ** len(letters)
-        span = max(span, max(abs(ep) for _, ep in c._terms) + len(letters) * g)
-    return size.bit_length() + 1, 2 * span + 1 if nvars == 2 else 1
+    diffs = [lhs + [(-c, ops) for c, ops in rhs] for lhs, rhs in sides]
+    return _compare(profile, diffs, lo, hi, (0, 1), witness)
 
 
 def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple:
@@ -361,17 +404,16 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
     every basis vector in range.  The classical profile compares both sides
     of the standard normal form at q = 1.
 
-    Each side (the raw word, then each normal-form term) is read from the
-    prefix sums s_i of its indices in acting order: from |k, 0> its path
-    meets the grades k + s_0 .. k + s_(m-1) and ends at grade k + s_m, unless
-    one of them is 0 or the side holds two W letters.  The grade checks of
-    `apply_word` and `apply_element` are kept in their order.  Only |k, 0> is
-    compared: a W-free side acts on |k, 1> as on |k, 0> and any other side
-    kills it, so |k, 1> repeats part of the |k, 0> comparison.  Values are
-    exact integer images n X^e under q -> X^S, p -> X^(S+1), X = 2^B, a ring
-    homomorphism injective on every difference compared (`_image_bounds`):
-    the verdicts and witnesses are those of the full polynomial comparison.
-    The classical profile evaluates every factor at q = 1 instead (B = 0).
+    The difference, the raw word minus each normal-form term, goes through
+    `_compare`, so the verdicts and witnesses are those of the full
+    polynomial comparison of `apply_word` and `apply_element`, with their
+    grade checks in their order.  Only |k, 0> is compared.  At |k, 1> a
+    term with a W dies and a W-free term ends where it ends from |k, 0>,
+    with eps = 1, so the difference there is the |k, 0> one on the W-free
+    terms' labels, which terms with one W (ending at eps = 1) never share:
+    it vanishes whenever the |k, 0> one does.  Nor can |k, 1> leave the cap
+    first: its path dies at the first W, the |k, 0> one at the second, so it
+    walks a prefix of it.
     """
     word = tuple(word)
     for sym in word:
@@ -379,65 +421,17 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
             raise ProfileError("oracle words must be T-free")
     lo, hi = _grade_window(k_range)
     nf = normalize(word, _REWRITE_FOR.get(profile, DeformationProfile.STANDARD))
-    raw = word[::-1]
-    terms = [(nw.letters[::-1], c) for nw, c in nf._terms.items()]
-    if profile is CLASSICAL:
-        bits = 0
-        image = lambda c: (sum(c._terms.values()), 0)
-        direct_weight = cache(lambda g: (ladder_weight(CLASSICAL, g).constant_value(), 0))
-        nf_weight = cache(lambda g: image(ladder_weight(Q_DEFORMED, g)))
-    else:
-        bits, stride = _image_bounds(raw, terms, lo, hi, profile.nvars)
-        image = lambda c: c.kronecker_image(bits, stride)
-        direct_weight = nf_weight = cache(lambda g: image(ladder_weight(profile, g)))
-    # Plan each side, the raw word with sign +1, then the normal form's terms
-    # negated: its prefix sums, the first step at which each k meets lambda_0
-    # and the step of its second W (m if none).  Sides share an end label
-    # (k + s_m, [a W was met]) at one k iff at every k.
-    near, groups = [], {}
-    sides = [(raw, direct_weight, (1, 0))] + [(t, nf_weight, image(-c)) for t, c in terms]
-    for letters, weight, coeff in sides:
-        m = len(letters)
-        prefix = list(accumulate((n for _, n in letters), initial=0))
-        zero_at = {-prefix[i]: i for i in reversed(range(m))}
-        w_at = [i for i, (kind, _) in enumerate(letters) if kind == "W"] + [m, m]
-        if max(abs(lo), abs(hi)) + max(map(abs, prefix)) > GRADE_CAP:
-            near.append((prefix, zero_at, w_at[1]))
-        if w_at[1] == m:  # a second W letter kills every path
-            group = groups.setdefault((prefix[m], w_at[0] < m), [])
-            group.append((prefix[:m], zero_at, weight, coeff))
-    # Only |k, 0> is compared.  At |k, 1> a side with a W dies and a W-free
-    # side ends where it ends from |k, 0>, with eps = 1, so the difference
-    # there is the |k, 0> one on the W-free sides' labels, which one-W sides
-    # (ending at eps = 1) never share: it vanishes whenever the |k, 0> one
-    # does.  Nor can |k, 1> leave the cap first: its path dies at the first
-    # W, the |k, 0> one at the second, so it walks a prefix of it.
-    for k in range(lo, hi + 1):
-        _check_grade(k)
-        # A side leaves the cap at its first grade k + s_(j+1) beyond it,
-        # unless its path died at step j or before.
-        for prefix, zero_at, second_w in near:
-            for s in prefix[1:min(zero_at.get(k, second_w), second_w) + 1]:
-                _check_grade(k + s)
-        for group in groups.values():
-            total, f = 0, 0  # the image of direct - via normal form, over X^f
-            for grades, zero_at, weight, (n, e) in group:
-                if k in zero_at:
-                    continue
-                for s in grades:
-                    wn, we = weight(k + s)
-                    n *= wn
-                    e += we
-                if e > f:  # a sum aligns to the smaller exponent
-                    n, e, total, f = total, f, n, e
-                total, f = n + (total << bits * (f - e)), e
-            if total:
-                v = basis_vector(profile, k, 0)
-                shown = f"word {word_text(word)} on |{k},0>: direct = {apply_word(word, v)}"
-                if profile is CLASSICAL:
-                    return False, f"{shown}, normal form at q=1 differs"
-                return False, f"{shown}, via normal form = {apply_element(nf, v)}"
-    return True, None
+    diff = [(LaurentPoly.one(profile.nvars), word[::-1])]
+    diff += [(-c, nw.letters[::-1]) for nw, c in nf._terms.items()]
+
+    def witness(k, eps, i):
+        v = basis_vector(profile, k, 0)
+        shown = f"word {word_text(word)} on |{k},0>: direct = {apply_word(word, v)}"
+        if profile is CLASSICAL:
+            return f"{shown}, normal form at q=1 differs"
+        return f"{shown}, via normal form = {apply_element(nf, v)}"
+
+    return _compare(profile, [diff], lo, hi, (0,), witness)
 
 
 def word_text(word: Word) -> str:

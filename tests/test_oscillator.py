@@ -57,12 +57,15 @@ def test_ladder_weights():
 
 def test_ladder_weight_bound_premises():
     """The premises of the oracle's integer image: lambda_g has l1 norm |g|
-    and p-exponents in [-|g|, |g|], in every profile."""
+    and p-exponents in [-|g|, |g|], and its coefficients sum to g, in every
+    profile."""
     for prof in (C, Q, P2):
         for g in range(-200, 201):
             terms = ladder_weight(prof, g).items()
             assert sum(abs(c) for _, c in terms) == abs(g)
             assert all(-abs(g) <= ep <= abs(g) for (_, ep), _ in terms)
+            # the classical comparison's weight: lambda_g at q = p = 1 is g
+            assert sum(c for _, c in terms) == g
 
 
 def test_ladder_actions():
@@ -205,6 +208,96 @@ def test_ladder_identities_read_the_rewrite_table(monkeypatch):
     assert check_relation(("gq", 2, -1), P2, (-4, 4)) == (True, None)
 
 
+def side_vector(side, prof, k, eps):
+    """A relation side on |k, eps>, walked op by op from ladder_weight alone:
+    L and W take lambda_k and die at k = 0, W, b and b_dag die on the wrong
+    occupancy, and the leftmost op acts last."""
+    out = ModuleVector(prof)
+    for c, ops in side:
+        g, occ = k, eps
+        for kind, n in reversed(ops):
+            if kind in ("L", "W"):
+                if g == 0 or (kind == "W" and occ):
+                    break
+                c = c * ladder_weight(prof, g)
+                occ = 1 if kind == "W" else occ
+            elif kind in ("b", "b_dag"):
+                needs = 1 if kind == "b" else 0
+                if occ != needs:
+                    break
+                occ = 1 - needs
+            g += n
+        else:
+            out = out + basis_vector(prof, g, occ).scaled(c)
+    return out
+
+
+def reference_relation(rel, prof, k_range):
+    """The vector comparison check_relation stands for, on both occupancies."""
+    sides = list(oscillator._relation_sides(rel, prof))
+    for k in range(k_range[0], k_range[1] + 1):
+        for eps in (0, 1):
+            for lhs, rhs in sides:
+                left, right = side_vector(lhs, prof, k, eps), side_vector(rhs, prof, k, eps)
+                if left != right:
+                    return False, f"rel {rel!r} on |{k},{eps}>: lhs = {left}, rhs = {right}"
+    return True, None
+
+
+def test_relation_checks_match_the_vector_reference(monkeypatch):
+    """Adversarial controls: under a flipped fuse sign, a swap factor times
+    q and a dropped fuse term in the rewriter's table, check_relation gives
+    the reference's verdict and witness on every ladder identity."""
+    rule = algebra._pair_rule
+
+    def variant(edit):
+        def patched(left, right, profile):
+            return edit(*rule(left, right, profile))
+
+        return patched
+
+    variants = {
+        "flipped fuse": lambda swap, fuse, fused: (swap, None if fuse is None else -fuse, fused),
+        "swap times q": lambda swap, fuse, fused: (swap * LaurentPoly.q_power(1, swap.nvars), fuse, fused),
+        "dropped fuse": lambda swap, fuse, fused: (swap, None, None),
+    }
+
+    def clear():
+        rule.cache_clear()
+        algebra._fuse_image.cache_clear()
+        algebra._insert_cache.clear()
+
+    for name, edit in variants.items():
+        clear()
+        monkeypatch.setattr(algebra, "_pair_rule", variant(edit))
+        try:
+            failed = 0
+            for m in range(-3, 4):
+                for n in range(-3, 4):
+                    for rel, prof in ((("LE", m, n), C), (("qLE", m, n), Q), (("gq", m, n), P2)):
+                        expected = reference_relation(rel, prof, (-4, 4))
+                        assert check_relation(rel, prof, (-4, 4)) == expected, (name, rel)
+                        failed += not expected[0]
+            assert failed > 40, (name, failed)
+        finally:
+            monkeypatch.undo()
+            clear()
+
+
+def test_relation_checks_compare_occupied_vectors(monkeypatch):
+    """An identity that holds on every |k, 0> and fails on |k, 1>: b = 0.
+    check_relation compares both occupancies, as the reference does."""
+    monkeypatch.setattr(
+        oscillator,
+        "_relation_sides",
+        lambda rel, prof: iter([([(LaurentPoly.one(prof.nvars), (("b", 0),))], [])]),
+    )
+    for prof in (C, Q, P2):
+        expected = reference_relation("fermion", prof, (-2, 2))
+        assert expected == (False, "rel 'fermion' on |-2,1>: lhs = |-2,0>, rhs = 0")
+        assert check_relation("fermion", prof, (-2, 2)) == expected
+
+
 def test_ladder_identities_check_the_fused_index():
     """The fused letter X[m+n] meets the index cap as in the rewriter, even
     where no path of the grade window reaches it."""
@@ -319,6 +412,28 @@ def test_oracle_rejects_a_corrupted_normal_form(monkeypatch, prof, edit):
     corrupt_normal_forms(monkeypatch, edit)
     witness = CORRUPTED_WITNESSES[prof, edit]
     assert oracle_consistency(word, prof, (0, 2)) == (witness is None, witness)
+
+
+def test_oracle_tells_a_one_w_side_from_a_w_free_one(monkeypatch):
+    """A normal-form term W[3] in place of L[3], with its coefficient, ends
+    on the grade where L[3] ends but at eps = 1, so it cancels nothing of
+    the W-free terms: the oracle keys its labels by occupancy."""
+    word = (L(2), L(1))
+    witnesses = {
+        C: "word L[2] L[1] on |1,0>: direct = 2 * |4,0>, normal form at q=1 differs",
+        Q: "word L[2] L[1] on |1,0>: direct = (q^4 + q^2) * |4,0>, "
+        "via normal form = (q^4 + q^2 + 1) * |4,0> - |4,1>",
+        P2: "word L[2] L[1] on |1,0>: direct = (q*p^-3 + p^-2) * |4,0>, "
+        "via normal form = (q*p^-3 + p^-2 + q^-1*p^-1) * |4,0> - q^-1*p^-1 * |4,1>",
+    }
+
+    def l_to_w(terms, profile):
+        c = terms.pop(NormalWord(l_block=((3, 1),)))
+        terms[NormalWord(w_block=((3, 1),))] = c
+
+    corrupt_normal_forms(monkeypatch, l_to_w)
+    for prof, witness in witnesses.items():
+        assert oracle_consistency(word, prof, (0, 2)) == (False, witness)
 
 
 def at_q_one(v) -> dict:
@@ -553,12 +668,13 @@ def test_occupied_labels_follow_the_empty_ones():
 
 
 # Laurent products of one oracle_consistency call over grades -8..8, with
-# every cache cold: the normal form and one ladder weight per grade met.
+# every cache cold: the normal form and one ladder weight per grade met (the
+# classical profile builds no weight: lambda_g is g at q = 1).
 ORACLE_PRODUCT_CEILINGS = {
-    ("L[3] L[4] L[2] L[0] L[-5]", C): 47,
+    ("L[3] L[4] L[2] L[0] L[-5]", C): 23,
     ("L[3] L[4] L[2] L[0] L[-5]", Q): 52,
     ("L[3] L[4] L[2] L[0] L[-5]", P2): 52,
-    ("W[2] L[-3] L[5] L[1]", C): 32,
+    ("W[2] L[-3] L[5] L[1]", C): 8,
     ("W[2] L[-3] L[5] L[1]", Q): 32,
     ("W[2] L[-3] L[5] L[1]", P2): 32,
 }
