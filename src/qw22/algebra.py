@@ -451,10 +451,10 @@ def _pair_rule(left, right, profile):
     (k1, a), (k2, b) = left, right
     d = b - a
     swap = LaurentPoly({(2 * d, 0) if profile is STANDARD else (d, -d): 1}, profile.nvars)
-    fuse = _r_power(a - b, profile) * q_int(b - a, profile.nvars)
-    if k2 != "L" or not fuse:
+    if k2 != "L" or not d:  # [0] = 0
         return swap, None, None
-    return swap, fuse, (k1, _check_index(a + b))
+    fused = (k1, _check_index(a + b))  # before [d] is built: its size is |d|
+    return swap, _r_power(-d, profile) * q_int(d, profile.nvars), fused
 
 
 @lru_cache(maxsize=1024)
@@ -612,10 +612,10 @@ def _fold(state: dict, letters, profile, bits) -> dict:
     return state
 
 
-def _exact(fold, args, profile, bits: int = _LANE_BITS) -> dict:
-    """fold(*args, bits) decoded to {NormalWord: coeff}.  If an l1 bound
-    reaches 2^(bits - 1), it runs once more past the largest bound."""
-    state, nvars, out = fold(*args, bits), profile.nvars, {}
+def _exact(fold, args, profile, bits: int = _LANE_BITS, state=None) -> dict:
+    """fold(*args, bits), or its given state at the default bits, decoded to
+    {NormalWord: coeff}.  An l1 bound of 2^(bits - 1) reruns it wider once."""
+    state, nvars, out = fold(*args, bits) if state is None else state, profile.nvars, {}
     for (t, tail, (kappa, _)), (n, e, l) in state.items():
         if l >> (bits - 1):  # no bound depends on bits, so one rerun decodes
             bits = max(l for _, _, l in state.values()).bit_length() + 2
@@ -638,30 +638,40 @@ def normalize(word: Word, profile: DeformationProfile = STANDARD) -> Element:
     return Element._raw(profile, _exact(_fold, (start, tail, profile), profile))
 
 
-def _product_state(lefts, rights, profile, bits) -> dict:
-    """The image state of the sum of c1 c2 nw1 nw2 over the terms (nw1, c1)
-    of lefts and (nw2, c2) of rights.  Per right term, nw2's T-power crosses
-    each tail in closed form, then its letters go into all tails at once."""
-    xs = [(*nw1, _pieces(c1, bits)) for nw1, c1 in lefts]
+def _product_state(pairs, rights, profile, bits) -> dict:
+    """The image state of the (key, image) pairs of a state times the sum of
+    c2 nw2 over the terms (nw2, c2) of rights.  Per right term, nw2's T-power
+    crosses each tail in closed form, then its letters go into all tails."""
     out: dict = {}
     for (t2, w2), c2 in rights:
         ys = _pieces(c2, bits)
-        state: dict = {}
-        for t1, w1, x in xs:
+        size = len(w2) if profile is GENERALIZED else 0
+        step: dict = {}
+        for (t1, w1, (k1, _)), (n1, e1, l1) in pairs:
             exp = t2 and t2 * sum(_t_crossing(n) for _, n in w1)
             if abs(exp) > EXPONENT_BOUND:
                 raise ArithmeticBoundError("T-collection exponent beyond the checked window")
-            size = len(w1) + len(w2) if profile is GENERALIZED else 0
-            for d1, n1, e1, l1 in x:
-                for d2, n2, e2, l2 in ys:
-                    e = e1 + e2 + exp
-                    key = (t1 + t2, w1, (d1 + d2 - size, _bucket(e)))
-                    _add_image(state, key, n1 * n2, e, l1 * l2, bits)
-        state = _fold(state, w2, profile, bits)
-        for key, (n, e, l) in state.items() if out else ():
+            for d2, n2, e2, l2 in ys:
+                e = e1 + e2 + exp
+                _add_image(step, (t1 + t2, w1, (k1 + d2 - size, _bucket(e))), n1 * n2, e, l1 * l2, bits)
+        step = _fold(step, w2, profile, bits)
+        for key, (n, e, l) in step.items() if out else ():
             _add_image(out, key, n, e, l, bits)
-        out = out or state
+        out = out or step
     return out
+
+
+def _chain(lefts, factors, profile, bits) -> dict:
+    """The image state of the terms (nw, c) of lefts, distinct words, times
+    the terms of each of one or more factors in turn: the left fold.  Pieces
+    of one coefficient start in distinct buckets, so no left pair is merged."""
+    gen, state = profile is GENERALIZED, {}
+    pairs = [((t, w, (d - gen * len(w), _bucket(e))), (n, e, l))
+             for (t, w), c in lefts for d, n, e, l in _pieces(c, bits)]
+    for rights in factors:
+        state = _product_state(pairs, rights, profile, bits)
+        pairs = state.items()
+    return state
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -670,8 +680,24 @@ def multiply(x: Element, y: Element) -> Element:
     for a, b in ((x, y), (y, x)):
         if len(a._terms) == 1 and UNIT_WORD in a._terms:  # a scalar
             return b.scaled(a._terms[UNIT_WORD])
-    args = (x._terms.items(), y._terms.items(), x.profile)
-    return Element._raw(x.profile, _exact(_product_state, args, x.profile))
+    args = (x._terms.items(), (y._terms.items(),), x.profile)
+    return Element._raw(x.profile, _exact(_chain, args, x.profile))
+
+
+def product_chain(factors, profile: DeformationProfile) -> Element:
+    """The left fold of the product of factors, each an iterable of terms
+    (nw, c) taken once the one before is multiplied in, on one image state
+    decoded once.  A state that may leave the exponent window (none can with
+    |e|, |kappa| <= 2^61) is decoded where `multiply` would: same errors."""
+    lefts, done, safe = ((UNIT_WORD, LaurentPoly.one(profile.nvars)),), [], EXPONENT_BOUND >> 2
+    state = {(0, (), (0, 0)): (1, 0, 1)}  # the image state of lefts
+    for rights in factors:
+        done.append(rights)
+        state = _product_state(state.items(), rights, profile, _LANE_BITS)
+        if any(abs(t) > EXPONENT_BOUND or abs(e) > safe or abs(k) > safe
+               for (t, _, (k, _)), (_, e, _) in state.items()):
+            _exact(_chain, (lefts, done, profile), profile, state=state)
+    return Element._raw(profile, _exact(_chain, (lefts, done, profile), profile, state=state))
 
 
 def q_bracket(x: Element, y: Element, alpha: LaurentPoly, beta: LaurentPoly) -> Element:

@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .algebra import GENERALIZED, STANDARD, classical_limit, evaluate
 from .errors import (
@@ -60,9 +61,23 @@ def _k_range(text: str) -> tuple:
     return bounds
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for str keys, without its pure-Python encoder;
+    str and int leaves are written as json writes them, others by json.dumps."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{_json_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + ",".join([inner + _json_text(v, inner) for v in obj]) + indent + "]"
+    if type(obj) is str:
+        return _json_str(obj)
+    return int.__repr__(obj) if type(obj) is int else json.dumps(obj)
+
+
 def _emit(args, text_value, json_obj):
     if args.json:
-        print(json.dumps(json_obj, indent=2))
+        print(_json_text(json_obj))
     else:
         print(text_value)
 
@@ -129,10 +144,8 @@ def _cmd_check(args) -> int:
     )
     reports = run_suite(args.suite, bounds)
     if args.json:
-        if len(reports) == 1:
-            print(json.dumps(report_json_obj(reports[0]), indent=2))
-        else:
-            print(json.dumps([report_json_obj(r) for r in reports], indent=2))
+        objs = [report_json_obj(r) for r in reports]
+        print(_json_text(objs[0] if len(objs) == 1 else objs))
     else:
         print("\n\n".join(render_text(r) for r in reports))
     for r in reports:

@@ -19,6 +19,7 @@ one.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 
 from .algebra import (
     STANDARD,
@@ -27,8 +28,9 @@ from .algebra import (
     GeneratorSymbol,
     NormalWord,
     UNIT_WORD,
+    _check_index,
     element_from,
-    multiply,
+    product_chain,
     q_bracket,
 )
 from .errors import ArithmeticBoundError, ParseError, UnsupportedInverseError
@@ -54,40 +56,20 @@ class _Node(tuple):
         return hash((type(self), *self))
 
 
-class Lit(_Node, namedtuple("Lit", "value line col")):
-    __slots__ = ()
+def _node(name: str, fields: str):
+    """A node type with the given fields, then the line and column."""
+    return type(name, (_Node, namedtuple(name, fields + " line col")), {"__slots__": ()})
 
 
-class Var(_Node, namedtuple("Var", "name line col")):
-    __slots__ = ()
-
-
-class Gen(_Node, namedtuple("Gen", "kind index line col")):
-    __slots__ = ()
-
-
-class Pow(_Node, namedtuple("Pow", "base exponent line col")):
-    __slots__ = ()
-
-
-class Neg(_Node, namedtuple("Neg", "child line col")):
-    __slots__ = ()
-
-
-class Sum(_Node, namedtuple("Sum", "left right line col")):
-    __slots__ = ()
-
-
-class Diff(_Node, namedtuple("Diff", "left right line col")):
-    __slots__ = ()
-
-
-class Prod(_Node, namedtuple("Prod", "left right line col")):
-    __slots__ = ()
-
-
-class QBracket(_Node, namedtuple("QBracket", "x y alpha beta line col")):
-    __slots__ = ()
+Lit = _node("Lit", "value")
+Var = _node("Var", "name")
+Gen = _node("Gen", "kind index")
+Pow = _node("Pow", "base exponent")
+Neg = _node("Neg", "child")
+Sum = _node("Sum", "left right")
+Diff = _node("Diff", "left right")
+Prod = _node("Prod", "left right")
+QBracket = _node("QBracket", "x y alpha beta")
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -125,9 +107,9 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -155,11 +137,15 @@ def _tokenize(text: str) -> list:
 
 _ATOM_STARTS = frozenset(["INT", "NAME", "LPAREN"])
 
+# Each level costs the parser and evaluator a few stack frames.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -174,6 +160,9 @@ class _Parser:
         if tok.kind != kind:
             got = tok.text or "end of input"
             raise ParseError(f"expected {what}, found {got!r}", tok.line, tok.col)
+        self.depth += (kind == "LPAREN") - (kind == "RPAREN")
+        if self.depth > MAX_DEPTH:  # only a '(' can pass it
+            raise ParseError(f"parentheses nested deeper than {MAX_DEPTH} levels", tok.line, tok.col)
         return self.advance()
 
     def parse(self):
@@ -231,7 +220,7 @@ class _Parser:
             self.advance()
             return Lit(int(tok.text), tok.line, tok.col)
         if tok.kind == "LPAREN":
-            self.advance()
+            self.expect("LPAREN", "'('")
             node = self.expr()
             self.expect("RPAREN", "')'")
             return node
@@ -300,10 +289,7 @@ def _power(base: Element, k: int) -> Element:
         nw, c = items[0]
         t_power = NormalWord(t_exp=nw.t_exp * k)
         return Element._raw(base.profile, {t_power: c ** k})
-    out = Element.unit(base.profile)
-    for _ in range(k):
-        out = multiply(out, base)
-    return out
+    return product_chain(repeat(base._terms.items(), k), base.profile)
 
 
 def _is_unit(items) -> bool:
@@ -319,34 +305,54 @@ def _scalar_of(el: Element, node, profile: DeformationProfile) -> LaurentPoly:
         return LaurentPoly.zero(profile.nvars)
     if len(items) == 1 and items[0][0] == UNIT_WORD:
         return items[0][1]
-    raise ParseError(
-        "bracket weights must be scalar", node.line, node.col
-    )
+    raise ParseError("bracket weights must be scalar", node.line, node.col)
+
+
+def _factors(node, profile: DeformationProfile):
+    """The factors of a left-deep product, left to right, each as the terms
+    (nw, c) it multiplies by, evaluated when reached: T^d (standard profile)
+    and X[n] as their words, and X[n]^k, 1 <= k in the window, as k X[n]."""
+    nodes = []
+    while isinstance(node, Prod):
+        nodes.append(node.right)
+        node = node.left
+    one = LaurentPoly.one(profile.nvars)
+    for node in reversed(nodes + [node]):
+        base, k = (node.base, node.exponent) if isinstance(node, Pow) else (node, 1)
+        if isinstance(base, Gen) and base.kind == "T" and profile is STANDARD:
+            yield ((NormalWord(t_exp=k), one),)
+        elif isinstance(base, Gen) and base.kind != "T" and 1 <= k <= EXPONENT_BOUND:
+            yield from repeat((((0, ((base.kind, _check_index(base.index)),)), one),), k)
+        else:
+            el = _eval(base, profile)
+            yield (el if base is node else _power(el, k))._terms.items()
 
 
 def _eval(node, profile: DeformationProfile) -> Element:
+    if isinstance(node, Prod) or isinstance(node, Pow) and isinstance(node.base, Gen):
+        return product_chain(_factors(node, profile), profile)
+    if isinstance(node, (Sum, Diff)):  # a left-deep chain of terms, added in order
+        terms = []
+        while isinstance(node, (Sum, Diff)):
+            terms.append(node)
+            node = node.left
+        out = _eval(node, profile)
+        for node in reversed(terms):
+            right = _eval(node.right, profile)
+            out = out + right if isinstance(node, Sum) else out - right
+        return out
     if isinstance(node, Lit):
         return Element.unit(profile).scaled(node.value)
     if isinstance(node, Var):
         if node.name == "p":
             if profile is STANDARD:
-                raise ParseError(
-                    "the symbol 'p' needs the two-parameter profile",
-                    node.line,
-                    node.col,
-                )
+                raise ParseError("the symbol 'p' needs the two-parameter profile", node.line, node.col)
             return Element.unit(profile).scaled(LaurentPoly.p_power(1))
         return Element.unit(profile).scaled(LaurentPoly.q_power(1, profile.nvars))
     if isinstance(node, Gen):
         return element_from(GeneratorSymbol(node.kind, node.index), profile)
     if isinstance(node, Neg):
         return -_eval(node.child, profile)
-    if isinstance(node, Sum):
-        return _eval(node.left, profile) + _eval(node.right, profile)
-    if isinstance(node, Diff):
-        return _eval(node.left, profile) - _eval(node.right, profile)
-    if isinstance(node, Prod):
-        return multiply(_eval(node.left, profile), _eval(node.right, profile))
     if isinstance(node, Pow):
         return _power(_eval(node.base, profile), node.exponent)
     if isinstance(node, QBracket):

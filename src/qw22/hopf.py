@@ -34,12 +34,13 @@ from .algebra import (
     _add_scaled,
     _add_term,
     _bracket,
+    _chain,
     _exact,
-    _product_state,
     _t_crossing,
     element_from,
     multiply,
     normalize,
+    product_chain,
 )
 from .errors import ProfileError
 from .laurent import LaurentPoly
@@ -104,8 +105,8 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     out: dict = {}
     for (a1, a2), c in u._terms.items():
         for (b1, b2), d in v._terms.items():
-            left = _exact(_product_state, (((a1, c),), ((b1, d),), STANDARD), STANDARD)
-            right = _exact(_product_state, (((a2, one),), ((b2, one),), STANDARD), STANDARD)
+            left = _exact(_chain, (((a1, c),), (((b1, d),),), STANDARD), STANDARD)
+            right = _exact(_chain, (((a2, one),), (((b2, one),),), STANDARD), STANDARD)
             for n1, f1 in left.items():
                 for n2, f2 in right.items():
                     _add_term(out, (n1, n2), f1 * f2)
@@ -177,10 +178,8 @@ def map_word_coproduct(word: Word) -> TensorElement:
 def map_word_antipode(word: Word) -> Element:
     """S on a free word: images of the symbols multiplied in reverse, a
     T-run mapping to T^-d in one step."""
-    out = Element.unit(STANDARD)
-    for image in _factor_images(reversed(word), _gen_antipode, lambda d: _t_power(-d)):
-        out = multiply(out, image)
-    return out
+    images = _factor_images(reversed(word), _gen_antipode, lambda d: _t_power(-d))
+    return product_chain((image._terms.items() for image in images), STANDARD)
 
 
 def map_word_counit(word: Word) -> LaurentPoly:
@@ -203,12 +202,8 @@ def _word_coproduct(nw: NormalWord) -> TensorElement:
 @lru_cache(maxsize=1 << 14)
 def _word_antipode(nw: NormalWord) -> Element:
     # S(T^d X1...Xr) = S(Xr)...S(X1) T^-d, multiplied left to right.
-    out = Element.unit(STANDARD)
-    for letter in reversed(nw.letters):
-        out = multiply(out, _gen_antipode(GeneratorSymbol(*letter)))
-    if nw.t_exp:
-        out = multiply(out, _t_power(-nw.t_exp))
-    return out
+    images = [_gen_antipode(GeneratorSymbol(*letter)) for letter in reversed(nw.letters)]
+    return product_chain([x._terms.items() for x in images + [_t_power(-nw.t_exp)]], STANDARD)
 
 
 def coproduct(x: Element) -> TensorElement:

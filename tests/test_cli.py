@@ -11,9 +11,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qw22
-from qw22.cli import main
+from qw22.cli import _json_text, main
 from qw22.suites import SuiteBounds
 
 
@@ -135,6 +136,54 @@ def test_bound_failures_exit_3():
         assert err == (
             "error: power 99999999999999999999 of a non-unit beyond the checked 64-bit window\n"
         )
+
+
+def test_digits_int_cannot_read_are_parse_errors():
+    """Superscript digits pass str.isdigit but not int(); they are
+    unexpected characters, while a fullwidth digit reads as its value."""
+    for expr, message in (
+        ("L[\u00b2]", "unexpected character '\u00b2' (line 1, column 3)"),
+        ("2 L[1]^\u00b3", "unexpected character '\u00b3' (line 1, column 8)"),
+    ):
+        assert run(["normalize", expr]) == (2, "", f"error: {message}\n")
+    assert run(["normalize", "L[\uff11]"]) == (0, "L[1]\n", "")
+
+
+def test_long_chains_and_deep_nesting():
+    """Sums and products are evaluated as iterative chains, so their length
+    is not bound by the recursion limit; nesting deeper than MAX_DEPTH
+    parentheses is a parse error at the first parenthesis past it."""
+    assert run(["normalize", " + ".join(["L[1]"] * 1500)]) == (0, "1500 * L[1]\n", "")
+    assert run(["normalize", " ".join(["L[1]"] * 1500)]) == (0, "L[1]^1500\n", "")
+    assert run(["normalize", " - ".join(["L[1]"] * 1501)]) == (0, "-1499 * L[1]\n", "")
+    deep = "(" * 3000 + "L[1]" + ")" * 3000
+    assert run(["normalize", deep]) == (
+        2, "", "error: parentheses nested deeper than 100 levels (line 1, column 101)\n"
+    )
+    assert run(["normalize", "(" * 100 + "L[1]" + ")" * 100]) == (0, "L[1]\n", "")
+    code, _, err = run(["normalize", "qbr(" * 101])
+    assert (code, err) == (
+        2, "error: parentheses nested deeper than 100 levels (line 1, column 404)\n"
+    )
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    )
+)
+def test_json_writer_matches_json_dumps(obj):
+    """The direct indent-2 writer prints what json.dumps(obj, indent=2)
+    does, byte for byte, on nested values with non-ASCII text, NaN and
+    infinities, and empty containers."""
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+    assert _json_text(("x", [], {})) == json.dumps(("x", [], {}), indent=2)
 
 
 def test_unknown_subcommand_exits_2():

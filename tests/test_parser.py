@@ -1,5 +1,6 @@
 """Expression grammar: atoms, precedence, errors, and text round-trips."""
 
+import functools
 import itertools
 import random
 
@@ -8,14 +9,19 @@ import pytest
 from qw22 import (
     ArithmeticBoundError,
     DeformationProfile,
+    Element,
     L,
     LaurentPoly,
+    NormalWord,
     ParseError,
     T,
     UnsupportedInverseError,
     W,
+    algebra,
     element_from,
     element_text,
+    multiply,
+    normalize,
     parse_element,
     q_bracket,
 )
@@ -167,3 +173,80 @@ def test_syntax_trees_compare_by_node_type_and_fields():
     assert Lit(2, 1, 1) != (2, 1, 1) and parse("2") == Lit(2, 1, 1)
     with pytest.raises(AttributeError):
         tree.line = 2
+
+
+def _reference_factor(kind: str, a: int, b: int, profile):
+    """A factor of the product test, built without the parser, with its text."""
+    one = Element.unit(profile)
+    if kind == "L":
+        return f"L[{a}]", element_from(L(a), profile)
+    if kind == "W":
+        return f"W[{a}]", element_from(W(a), profile)
+    if kind == "sum":
+        return f"(L[{a}] + W[{b}])", element_from(L(a), profile) + element_from(W(b), profile)
+    if kind == "q^-1":
+        return kind, one.scaled(LaurentPoly.q_power(-1, profile.nvars))
+    if kind == "3":
+        return kind, one.scaled(3)
+    d = {"T": 1, "T^-1": -1, "T^2": 2}[kind]
+    if profile is GEN:  # p in place of T
+        return kind.replace("T", "p"), one.scaled(LaurentPoly.p_power(d))
+    return kind, element_from(NormalWord(t_exp=d))
+
+
+_FACTOR_KINDS = ("L", "W", "T", "T^-1", "T^2", "q^-1", "3", "sum")
+
+
+@pytest.mark.parametrize(
+    "profile", [DeformationProfile.STANDARD, GEN], ids=["standard", "generalized"]
+)
+def test_products_are_the_left_fold_of_multiply(profile):
+    """A parsed product equals multiply folded left over its evaluated
+    factors, for every sequence of up to four factor kinds; the indices
+    |a|, |b| <= 2 run through their range along the sequences."""
+    indices = itertools.cycle(itertools.product(range(-2, 3), repeat=2))
+    for size in range(1, 5):
+        for kinds in itertools.product(_FACTOR_KINDS, repeat=size):
+            texts, factors = zip(*(_reference_factor(k, *next(indices), profile) for k in kinds))
+            want = functools.reduce(multiply, factors)
+            assert parse_element(" ".join(texts), profile) == want, texts
+
+
+def test_products_cross_t_powers_over_folded_tails():
+    """A T-power crosses each tail the fold has built so far, which is not
+    the normal form of the concatenated word."""
+    got = parse_element("L[1] L[-1] T")
+    assert element_text(got) == "T L[-1] L[1] + (-q - q^-1) * T L[0]"
+    assert element_text(normalize((L(1), L(-1), T))) == "T L[-1] L[1] + (-q^3 - q) * T L[0]"
+
+
+def test_product_errors_come_from_the_step_that_raises_them():
+    """Each factor is multiplied in before the next is read, and each step
+    is checked against the exponent windows, so a product raises the error
+    of its first failing step, not the parse error of a later factor."""
+    half = "4611686018427387904"  # 2^62
+    cases = {
+        "L[1048576] L[1] p": "generator index 1048577 beyond cap 1048576",
+        f"T^{half} T^{half} p": "T-power beyond the checked window",
+        f"q^{half} q^{half} p": "exponent 9223372036854775808 left the checked 64-bit window",
+        f"L[1] T^{half} T^-{half} p": "T-collection exponent beyond the checked window",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ArithmeticBoundError) as exc:
+            parse_element(text)
+        assert str(exc.value) == message
+    with pytest.raises(ParseError, match="needs the two-parameter profile"):
+        parse_element(f"T^{half} T^-{half} p")
+
+
+def test_each_product_chain_is_decoded_once(monkeypatch):
+    """Counted work, not time: a product chain runs on one image state and
+    is decoded once, not once per generator and per binary product."""
+    decodes = []
+    real = algebra._exact
+    monkeypatch.setattr(algebra, "_exact", lambda *a, **k: decodes.append(1) or real(*a, **k))
+    parse_element("2 L[2] L[-3] + q^-2 W[-2] W[2] T^3 + q^-2 T^-3 L[3]^2 W[0]")
+    assert len(decodes) <= 3
+    decodes.clear()
+    parse_element("4 T^3 W[-1]^2 L[2]^2")
+    assert len(decodes) == 1
