@@ -42,18 +42,42 @@ from .laurent import EXPONENT_BOUND, LaurentPoly
 
 class _Node(tuple):
     """An immutable syntax-tree node: equal only to a node of the same type
-    with equal fields."""
+    with equal fields.  Comparison, hashing and repr walk the tree with a
+    stack, so a long left-deep chain does not exhaust the recursion limit."""
 
     __slots__ = ()
 
+    def _walk(self):
+        """The tree in preorder: each node's type, then its fields."""
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, _Node):
+                yield type(x)
+                stack += reversed(x)
+            else:
+                yield x
+
     def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        return type(other) is type(self) and tuple(self._walk()) == tuple(other._walk())
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash((type(self), *self))
+        return hash(tuple(self._walk()))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, _Node):  # its fields are pushed last to first
+                stack.append(")")
+                for i, (f, v) in reversed([*enumerate(zip(x._fields, x))]):
+                    stack += v if isinstance(v, _Node) else repr(v), f"{', ' * bool(i)}{f}="
+                x = f"{type(x).__name__}("
+            out.append(x)
+        return "".join(out)
 
 
 def _node(name: str, fields: str):
@@ -90,6 +114,7 @@ _PUNCT = {
 
 
 _Token = namedtuple("_Token", "kind text line col")
+_name_char = lambda ch: ch.isalnum() or ch == "_"
 
 
 def _tokenize(text: str) -> list:
@@ -99,29 +124,18 @@ def _tokenize(text: str) -> list:
     while i < n:
         ch = text[i]
         if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+            i, line, col = i + 1, line + 1, 1
             continue
         if ch in " \t\r":
-            i += 1
-            col += 1
+            i, col = i + 1, col + 1
             continue
-        if ch.isdecimal():  # exactly the digits int() reads
-            j = i
-            while j < n and text[j].isdecimal():
+        if ch.isdecimal() or ch.isalpha():  # an INT holds exactly the digits int() reads
+            kind, more = ("INT", str.isdecimal) if ch.isdecimal() else ("NAME", _name_char)
+            j = i + 1
+            while j < n and more(text[j]):
                 j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
+            tokens.append(_Token(kind, text[i:j], line, col))
+            col, i = col + j - i, j
             continue
         kind = _PUNCT.get(ch)
         if kind is None:
@@ -181,9 +195,7 @@ class _Parser:
             node = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance()
-            rhs = self.term()
-            cls = Sum if op.kind == "PLUS" else Diff
-            node = cls(node, rhs, op.line, op.col)
+            node = (Sum if op.kind == "PLUS" else Diff)(node, self.term(), op.line, op.col)
         return node
 
     def term(self):
@@ -238,15 +250,11 @@ class _Parser:
                 return Gen(name, idx, tok.line, tok.col)
             if name == "qbr":
                 self.expect("LPAREN", "'('")
-                x = self.expr()
-                self.expect("COMMA", "','")
-                y = self.expr()
-                self.expect("SEMI", "';'")
-                alpha = self.expr()
-                self.expect("COMMA", "','")
-                beta = self.expr()
-                self.expect("RPAREN", "')'")
-                return QBracket(x, y, alpha, beta, tok.line, tok.col)
+                args = []  # x, y; alpha, beta
+                for kind, what in (("COMMA", "','"), ("SEMI", "';'"), ("COMMA", "','"), ("RPAREN", "')'")):
+                    args.append(self.expr())
+                    self.expect(kind, what)
+                return QBracket(*args, tok.line, tok.col)
             raise ParseError(f"unknown symbol {name!r}", tok.line, tok.col)
         got = tok.text or "end of input"
         raise ParseError(f"expected an element, found {got!r}", tok.line, tok.col)

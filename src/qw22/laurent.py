@@ -19,11 +19,12 @@ A product takes one of three paths, all in Python integers:
   into pieces (`_pieces`), makes one integer product per pair of pieces,
   merges the products per key (`_add_image`) and decodes each key once.
 
-The images are those of `kronecker_image`, q -> X (one variable) or q -> 1,
-p -> X on one total degree (two), X = 2^bits, with lanes as wide as the
-coefficients need, so huge coefficients stay packed.  The rewriter's fold
-in `algebra` carries the same images through its rewrite steps and decodes
-its output terms through the memo `from_image`.
+The images are values at q -> X (one variable) or q -> 1, p -> X on one
+total degree (two), X = 2^bits, with lanes as wide as the coefficients
+need, so huge coefficients stay packed.  The rewriter's fold in `algebra`
+carries the same images through its rewrite steps and decodes its output
+terms through the memo `from_image`; the oscillator's comparator reads
+its scalars and ladder weights on them too.
 """
 
 from __future__ import annotations
@@ -192,9 +193,10 @@ def _add_image(out: dict, key, n: int, e: int, l: int, bits: int) -> None:
 
 
 def _from_image(n: int, e: int, bits: int, nvars: int, degree: int) -> dict:
-    """The terms of `kronecker_image` n X^e, X = 2^bits, at stride 1 (one
-    variable) or 0 (two, of the given total degree): n's signed base-X digits,
-    exact for n != 0 and coefficients below 2^(bits - 1) in size."""
+    """The terms whose image is n X^e, X = 2^bits, under q -> X (one
+    variable) or q -> 1, p -> X (two, of the given total degree): n's signed
+    base-X digits, exact for n != 0 and coefficients below 2^(bits - 1) in
+    size."""
     if -(1 << (bits - 1)) < n < 1 << (bits - 1):  # one lane
         if nvars == 1:
             return {(_check_exponent(e), 0): n}
@@ -377,18 +379,6 @@ class LaurentPoly:
         if ep and self.nvars == 1:
             raise ProfileError("p-exponent in a one-variable polynomial")
         return _wrap(_shift_terms(self._terms, eq, ep), self.nvars)
-
-    def kronecker_image(self, bits: int, stride: int = 1) -> tuple:
-        """The image at q = X^stride, p = X^(stride + 1), X = 2^bits, as
-        (n, e) meaning n X^e: q^a p^b lands in lane b + stride (a + b).  A
-        ring homomorphism, injective where coefficients are below
-        2^(bits - 1) in size and p-exponents span less than stride, or, at
-        stride 0 (q = 1, p = X), on polynomials of one total degree.  The
-        pieces of products and of the fold (`_pieces`) are images at stride
-        1 (one variable) and 0 (two); the oracle picks its own stride."""
-        lanes = [ep + stride * (eq + ep) for eq, ep in self._terms]
-        e = min(lanes, default=0)
-        return _pack([i - e for i in lanes], self._terms.values(), bits), e
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

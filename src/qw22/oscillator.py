@@ -36,7 +36,7 @@ from .algebra import (
     normalize,
 )
 from .errors import ArithmeticBoundError, ProfileError
-from .laurent import LaurentPoly, q_int
+from .laurent import LaurentPoly, _add_image, _pieces, q_int
 
 
 class OscillatorProfile(Enum):
@@ -213,22 +213,26 @@ def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
 # -- the module comparator --------------------------------------------------
 
 
-def _image_bounds(terms, lo: int, hi: int, nvars: int) -> tuple:
-    """(B, S) for an image injective on every difference of `terms`,
-    (scalar, ops) pairs, that the call compares.
-
-    lambda_g has l1 norm |g| and p-exponents in [-|g|, |g|], and a term's
-    path meets grades of size at most G, the window's largest plus its ops'
-    |n| (and at most GRADE_CAP), at its m weighted ops.  So a difference has
-    l1 norm at most sum_t |c_t|_1 G_t^m_t, and p-exponents within the
-    largest |p-exponent of c_t| + m_t G_t."""
-    size = span = 0
+def _image_bounds(terms, lo: int, hi: int) -> int:
+    """The lane width B of an image injective on each difference of `terms`,
+    (scalar, ops) pairs, that the call compares: lambda_g has l1 norm |g|,
+    and a term's path meets grades of size at most G, the window's largest
+    plus its ops' |n| (and at most GRADE_CAP), at its m weighted ops, so a
+    difference has l1 norm at most sum_t |c_t|_1 G_t^m_t."""
+    size = 0
     for c, ops in terms:
         g = min(max(abs(lo), abs(hi)) + sum(abs(n) for _, n in ops), GRADE_CAP)
-        m = sum(_OPS[kind][0] for kind, _ in ops)
-        size += sum(map(abs, c._terms.values())) * g**m
-        span = max(span, max((abs(ep) for _, ep in c._terms), default=0) + m * g)
-    return size.bit_length() + 1, 2 * span + 1 if nvars == 2 else 1
+        size += sum(map(abs, c._terms.values())) * g ** sum(_OPS[kind][0] for kind, _ in ops)
+    return size.bit_length() + 1
+
+
+# lambda_g is one piece in every profile (odd q-exponents two lanes apart, or
+# degree -1 with dense p-lanes), so calls share its image.  A cold `oracle` round
+# meets 760-870 keys, 3 of 4 lookups hit; 10 rounds 1,215 keys, ~0.3 kB each.
+@lru_cache(maxsize=4096)
+def _weight_image(profile: OscillatorProfile, g: int, bits: int) -> tuple:
+    ((_, n, e, _),) = _pieces(ladder_weight(profile, g), bits)
+    return n, e
 
 
 def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, witness) -> tuple:
@@ -244,23 +248,26 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
     share an end label share it at every k.  The grade checks of the vector
     path (`_act`) are kept in their order: k, then each term's grades up to
     its death, term by term, before its difference is compared.  Values are
-    exact integer images n X^e under q -> X^S, p -> X^(S+1), X = 2^B, a ring
-    homomorphism injective on every difference compared (`_image_bounds`),
-    so the verdicts are those of the polynomial comparison.  The classical
-    profile evaluates at q = 1 instead (B = 0), where lambda_g = g.
+    the exact integer images n X^e, X = 2^B, of `_pieces` (lambda_g has total
+    degree -1 with two variables).  Terms are grouped by end label and total
+    degree, where the image is injective on the group's sum (`_image_bounds`),
+    so the verdicts are those of the polynomial comparison; terms of a group
+    that take the same weights are summed once, before the k loop.  The
+    classical profile evaluates at q = 1 instead, where lambda_g = g.
     """
     if profile is CLASSICAL:
-        bits = 0
-        image = lambda c: (sum(c._terms.values()), 0)
+        bits = 1  # every e is 0: X never enters
+        image = lambda c: [(0, sum(c._terms.values()), 0, 0)]
         weight = lambda g: (g, 0)
     else:
-        bits, stride = _image_bounds([t for diff in diffs for t in diff], lo, hi, profile.nvars)
-        image = lambda c: (1, 0) if c.is_one() else c.kronecker_image(bits, stride)
-        weight = cache(lambda g: image(ladder_weight(profile, g)))
+        bits = _image_bounds([t for diff in diffs for t in diff], lo, hi)
+        image = lambda c: _pieces(c, bits) if c else []  # a zero scalar has no piece
+        weight = cache(lambda g: _weight_image(profile, g, bits))
+    degree = -1 if profile is TWO_PARAM else 0  # of each weight
     # Plan each (eps, term) in one pass over its ops: its prefix sums, the
     # grades whose weights it takes, its dead set {-s_j: first weighted op j}
     # and the op that finds the wrong occupancy (m if none).  Surviving terms
-    # are grouped by end label (s_m, eps').
+    # are summed per end label (s_m, eps'), total degree and grades.
     reach = max(abs(lo), abs(hi))
     plans = []
     for eps0 in occupancies:
@@ -282,7 +289,9 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
                     s += n
                     prefix.append(s)
                 else:
-                    groups.setdefault((s, eps), []).append((grades, dead, image(scalar)))
+                    for d, n, e, l in image(scalar):
+                        group = groups.setdefault((s, eps, d + degree * len(grades)), {})
+                        _add_image(group, tuple(grades), n, e, l, bits)
                 if reach + max(map(abs, prefix)) > GRADE_CAP:
                     near.append((prefix, dead, kill))
             plans.append((eps0, i, near, groups.values()))
@@ -296,8 +305,8 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
                     _check_grade(k + s)
             for group in groups:
                 total, f = 0, 0  # the image of the difference, over X^f
-                for grades, dead, (n, e) in group:
-                    if k in dead:
+                for grades, (n, e, _) in group.items():
+                    if -k in grades:  # the path dies at grade 0
                         continue
                     for s in grades:
                         wn, we = weight(k + s)
@@ -435,12 +444,5 @@ def oracle_consistency(word: Word, profile: OscillatorProfile, k_range) -> tuple
 
 
 def word_text(word: Word) -> str:
-    pieces = []
-    for sym in word:
-        if sym.kind == "T":
-            pieces.append("T")
-        elif sym.kind == "Tinv":
-            pieces.append("T^-1")
-        else:
-            pieces.append(f"{sym.kind}[{sym.index}]")
-    return " ".join(pieces) if pieces else "1"
+    kinds = {"T": "T", "Tinv": "T^-1"}
+    return " ".join(kinds.get(sym.kind) or f"{sym.kind}[{sym.index}]" for sym in word) or "1"

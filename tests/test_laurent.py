@@ -284,17 +284,29 @@ def test_long_operands_pack_as_the_plain_sum():
         assert laurent._pack(lanes, coeffs, 23) == plain
 
 
-def test_kronecker_image_is_the_value_at_a_power_of_two():
-    """(n, e) = a.kronecker_image(bits, stride) means n X^e = a at
-    q = X^stride, p = X^(stride + 1), X = 2^bits."""
+def test_pieces_are_the_value_at_a_power_of_two():
+    """The pieces (d, n, e, l) of `_pieces(a, bits)` of one total degree d
+    sum, as n X^e, to the degree-d part of a at q -> X (one variable, where
+    d is 0) or at q -> 1, p -> X (two), X = 2^bits, and their l to its l1
+    norm."""
     rng = random.Random(8)
-    for nvars, stride in ((1, 1), (2, 1), (2, 13)):
+    for nvars in (1, 2):
+        degree = (lambda key: key[0] + key[1]) if nvars == 2 else (lambda key: 0)
         for bits in (1, 7, 30):
+            x = Fraction(2) ** bits
             for _ in range(20):
                 a = rand_poly(rng, nvars, terms=6)
-                n, e = a.kronecker_image(bits, stride)
-                x = Fraction(2) ** bits
-                assert n * x**e == a.eval(x**stride, x ** (stride + 1) if nvars == 2 else None)
+                if not a:  # no caller packs zero
+                    continue
+                parts: dict = {}
+                for d, n, e, l in laurent._pieces(a, bits):
+                    value, norm = parts.get(d, (0, 0))
+                    parts[d] = value + n * x**e, norm + l
+                assert set(parts) == {degree(key) for key, _ in a.items()}
+                for d, (value, norm) in parts.items():
+                    part = LaurentPoly({k: c for k, c in a.items() if degree(k) == d}, nvars)
+                    assert value == (part.eval(1, x) if nvars == 2 else part.eval(x))
+                    assert norm == l1(part)
 
 
 def test_huge_coefficients_stay_exact():

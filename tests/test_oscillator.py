@@ -58,12 +58,13 @@ def test_ladder_weights():
 def test_ladder_weight_bound_premises():
     """The premises of the oracle's integer image: lambda_g has l1 norm |g|
     and p-exponents in [-|g|, |g|], and its coefficients sum to g, in every
-    profile."""
+    profile; with two variables every term has total degree -1."""
     for prof in (C, Q, P2):
         for g in range(-200, 201):
             terms = ladder_weight(prof, g).items()
             assert sum(abs(c) for _, c in terms) == abs(g)
             assert all(-abs(g) <= ep <= abs(g) for (_, ep), _ in terms)
+            assert prof is not P2 or all(eq + ep == -1 for (eq, ep), _ in terms)
             # the classical comparison's weight: lambda_g at q = p = 1 is g
             assert sum(c for _, c in terms) == g
 
@@ -471,9 +472,10 @@ def corrupt_with(monkeypatch):
 
 @pytest.mark.parametrize("prof", (Q, P2), ids=lambda p: p.value)
 def test_oracle_catches_a_term_that_vanishes_at_a_power_of_two(monkeypatch, prof):
-    """q^(e+1) p^f - 2^b q^e p^f vanishes under q -> 2^b (one variable) or
-    X^S = 2^b (two): the image's lane width grows with the coefficient's l1
-    norm, so none of them hides."""
+    """q^(e+1) - 2^b q^e vanishes under q -> 2^b (one variable): the image's
+    lane width grows with the coefficient's l1 norm, so none of them hides.
+    With two variables the two terms differ in total degree, and each total
+    degree is compared on its own."""
     word, window = (L(2), L(1)), (0, 2)
     box = corrupt_with(monkeypatch)
     for b in range(1, 97):
@@ -491,9 +493,9 @@ def test_oracle_catches_a_term_that_vanishes_at_a_power_of_two(monkeypatch, prof
 
 
 def test_oracle_catches_a_term_moved_along_the_stride(monkeypatch):
-    """q^a p^b -> q^(a-s-1) p^(b+s) keeps the lane b + S (a + b) when S = s:
-    the stride is read from the corrupted coefficient's own p-exponents, so
-    every such move is caught."""
+    """q^a p^b -> q^(a-s-1) p^(b+s) moves a term to total degree a + b - 1
+    and to a p-lane s further on.  The comparator groups terms by total
+    degree, so the move is caught however far it goes."""
     word, window = (L(2), W(-1), L(1)), (-3, 3)
     box = corrupt_with(monkeypatch)
     for s in range(1, 65):
@@ -511,10 +513,11 @@ def test_oracle_catches_a_term_moved_along_the_stride(monkeypatch):
 
 
 def test_oracle_stride_covers_the_raw_word(monkeypatch):
-    """A letterless normal form c whose p-exponents span less than the raw
-    word's: c is the raw action on |k, eps> with its lowest p-power q^a p^-P
-    moved to q^(a-2P) p^(P-1), which shares its lane when the stride is read
-    from c alone (S = 2P - 1).  The stride covers the raw word too."""
+    """A letterless normal form c: the raw action on |k, eps> with its
+    lowest p-power q^a p^-P moved to q^(a-2P) p^(P-1), one total degree
+    lower and inside the span of the raw word's p-exponents.  Under
+    q -> 1, p -> X alone it could share a lane with the raw word's image;
+    compared per total degree, it is caught."""
     word, k = (L(1), L(-1)), 3
     direct = apply_word(word, basis_vector(P2, k, 0)).terms()[0][1]
     (a, b), _ = min(direct.items(), key=lambda t: t[0][1])
@@ -528,6 +531,29 @@ def test_oracle_stride_covers_the_raw_word(monkeypatch):
     expected = reference_oracle(word, P2, (k, k))
     assert expected[0] is False
     assert oracle_consistency(word, P2, (k, k)) == expected
+
+
+def test_oracle_compares_each_total_degree_apart(monkeypatch):
+    """q^a p^b -> q^(a+1) p^b keeps a normal-form term on its p-lane, so its
+    image under q -> 1, p -> X is unchanged: only its total degree tells the
+    corrupted normal form from the true one.  Every monomial of every term
+    of the normal form, moved this way, is caught."""
+    word, window = (L(2), W(-1), L(1)), (-3, 3)
+    box = corrupt_with(monkeypatch)
+    nf = dict(oscillator.normalize(word, DeformationProfile.GENERALIZED).terms())
+    moves = [(i, key) for i, c in enumerate(nf.values()) for key, _ in c.items()]
+    assert len(moves) > 3
+    for i, (a, b) in moves:
+
+        def move(terms, profile, i=i, a=a, b=b):
+            nw = list(terms)[i]
+            c = terms[nw]._terms[a, b]
+            terms[nw] = terms[nw] + LaurentPoly({(a + 1, b): c, (a, b): -c}, 2)
+
+        box[0] = move
+        expected = reference_oracle(word, P2, window)
+        assert expected[0] is False
+        assert oracle_consistency(word, P2, window) == expected
 
 
 def test_oracle_image_bounds_stay_within_the_grade_cap(monkeypatch):
@@ -702,10 +728,48 @@ def test_oracle_product_counts(monkeypatch):
         algebra._pair_rule.cache_clear()
         algebra._fuse_image.cache_clear()
         ladder_weight.cache_clear()
+        oscillator._weight_image.cache_clear()
         products.clear()
         assert oracle_consistency(ORACLE_WORDS[text], prof, (-8, 8)) == (True, None)
         counts[text, prof] = len(products)
     assert all(counts[key] <= ceiling for key, ceiling in ORACLE_PRODUCT_CEILINGS.items()), counts
+
+
+def count_weights(monkeypatch) -> list:
+    """A list that gains one entry per ladder weight the comparator packs
+    from here on: `_weight_image` builds each one it has not cached."""
+    built = []
+    real = oscillator.ladder_weight
+    monkeypatch.setattr(oscillator, "ladder_weight", lambda *a: built.append(a) or real(*a))
+    return built
+
+
+def test_weight_images_are_packed_once_per_process(monkeypatch):
+    """A ladder weight's image depends on the profile, its grade and the
+    lane width only, so a second call on the same word and window packs no
+    weight: every lambda_g it needs is in `_weight_image`'s cache."""
+    built = count_weights(monkeypatch)
+    for word in ORACLE_WORDS.values():
+        for prof in (Q, P2):
+            oscillator._weight_image.cache_clear()
+            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
+            assert built
+            built.clear()
+            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
+            assert not built
+
+
+def test_a_word_in_normal_order_cancels_before_the_grade_loop(monkeypatch):
+    """Terms that take the same weights are summed once, before the k loop:
+    a word that is its own normal form packs no weight at all."""
+    built = count_weights(monkeypatch)
+    oscillator._weight_image.cache_clear()
+    for word in ((L(-1), L(2)), (L(3), W(-2), W(1)), (W(4),)):
+        for prof in (Q, P2):
+            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
+    assert not built
+    assert oracle_consistency((L(2), L(-1)), Q, (-8, 8)) == (True, None)
+    assert built
 
 
 def test_the_oracle_comparison_makes_no_laurent_product(monkeypatch):

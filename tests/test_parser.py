@@ -175,6 +175,29 @@ def test_syntax_trees_compare_by_node_type_and_fields():
         tree.line = 2
 
 
+# The repr of a shallow tree, pinned from the namedtuple repr it had when
+# nodes printed themselves recursively.
+SHALLOW_TREE_REPR = (
+    "Diff(left=Neg(child=QBracket(x=Gen(kind='L', index=1, line=1, col=6), "
+    "y=Gen(kind='W', index=-2, line=1, col=12), alpha=Var(name='q', line=1, col=19), "
+    "beta=Lit(value=2, line=1, col=22), line=1, col=2), line=1, col=1), "
+    "right=Pow(base=Gen(kind='T', index=0, line=1, col=27), exponent=-1, line=1, col=28), "
+    "line=1, col=25)"
+)
+
+
+def test_long_chains_hash_compare_and_print():
+    """A left-deep product of 1,500 factors hashes, compares and prints: the
+    nodes walk the tree with a stack.  A shallow tree prints as before."""
+    text = " ".join(["L[1]"] * 1500)
+    tree, again = parse(text), parse(text)
+    assert hash(tree) == hash(again) and tree == again and not tree != again
+    assert tree != parse(text + " L[2]") and tree != parse(text.replace("L[1]", "L[2]", 1))
+    shown = repr(tree)
+    assert shown.startswith("Prod(left=Prod(left=") and shown.count("Gen(kind='L', index=1") == 1500
+    assert repr(parse("-qbr(L[1], W[-2]; q, 2) - T^-1")) == SHALLOW_TREE_REPR
+
+
 def _reference_factor(kind: str, a: int, b: int, profile):
     """A factor of the product test, built without the parser, with its text."""
     one = Element.unit(profile)
