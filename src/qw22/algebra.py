@@ -317,9 +317,6 @@ class Element(Combination):
     def zero(profile: DeformationProfile = STANDARD) -> "Element":
         return Element._raw(profile, {})
 
-    def coefficient(self, nw: NormalWord) -> LaurentPoly:
-        return self._terms.get(nw, LaurentPoly.zero(self.profile.nvars))
-
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)

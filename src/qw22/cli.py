@@ -82,27 +82,20 @@ def _emit(args, text_value, json_obj):
         print(text_value)
 
 
-def _cmd_normalize(args) -> int:
-    el = parse_element(args.expr, _PROFILES[args.profile])
-    _emit(args, str(el), el.to_json_obj())
-    return 0
+# The map commands: name -> map of the parsed Element.  Each entry looks its
+# map up by name when called, so a wrapper bound to that name sees the call.
+_MAPS = {
+    "normalize": lambda el: el,
+    "coproduct": lambda el: coproduct(el),
+    "antipode": lambda el: antipode(el),
+    "counit": lambda el: counit(el),
+    "limit": lambda el: classical_limit(el),
+}
 
 
-def _cmd_coproduct(args) -> int:
-    t = coproduct(parse_element(args.expr))
-    _emit(args, str(t), t.to_json_obj())
-    return 0
-
-
-def _cmd_antipode(args) -> int:
-    el = antipode(parse_element(args.expr))
-    _emit(args, str(el), el.to_json_obj())
-    return 0
-
-
-def _cmd_counit(args) -> int:
-    c = counit(parse_element(args.expr))
-    _emit(args, str(c), c.to_json_obj())
+def _cmd_map(args) -> int:
+    value = _MAPS[args.command](parse_element(args.expr, _PROFILES[args.profile]))
+    _emit(args, str(value), value.to_json_obj())
     return 0
 
 
@@ -116,12 +109,6 @@ def _cmd_eval(args) -> int:
         return 2
     el = parse_element(args.expr, profile)
     num = evaluate(el, args.q, args.p)
-    _emit(args, str(num), num.to_json_obj())
-    return 0
-
-
-def _cmd_limit(args) -> int:
-    num = classical_limit(parse_element(args.expr))
     _emit(args, str(num), num.to_json_obj())
     return 0
 
@@ -176,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("normalize", _cmd_normalize, "rewrite an expression into the PBW basis",
+    add("normalize", _cmd_map, "rewrite an expression into the PBW basis",
         profile_flag=True)
-    add("coproduct", _cmd_coproduct, "apply the coproduct")
-    add("antipode", _cmd_antipode, "apply the antipode")
-    add("counit", _cmd_counit, "apply the counit")
+    add("coproduct", _cmd_map, "apply the coproduct")
+    add("antipode", _cmd_map, "apply the antipode")
+    add("counit", _cmd_map, "apply the counit")
 
     p_eval = add("eval", _cmd_eval, "evaluate coefficients at rational points",
                  profile_flag=True)
@@ -189,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--p", type=_fraction, default=None,
                         help="rational value for p (generalized profile only)")
 
-    add("limit", _cmd_limit, "evaluate coefficients at q = 1")
+    add("limit", _cmd_map, "evaluate coefficients at q = 1")
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=SUITE_IDS + ("all",),
@@ -223,10 +210,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProfileError, UnsupportedInverseError, EvaluationDomainError) as exc:
+    except (ParseError, ProfileError, UnsupportedInverseError, EvaluationDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticBoundError as exc:

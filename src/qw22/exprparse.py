@@ -304,7 +304,7 @@ def _is_unit(items) -> bool:
     if len(items) != 1:
         return False
     nw, c = items[0]
-    return not nw.letters and c.is_monomial() and abs(c.items()[0][1]) == 1
+    return not nw.letters and c.term_count == 1 and abs(c.items()[0][1]) == 1
 
 
 def _scalar_of(el: Element, node, profile: DeformationProfile) -> LaurentPoly:

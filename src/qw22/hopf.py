@@ -15,7 +15,7 @@ generalized two-parameter profile has no Hopf layer and is rejected.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import groupby
 from math import comb
 
@@ -128,58 +128,58 @@ def _t_power(d: int) -> Element:
     return element_from(NormalWord(t_exp=d))
 
 
-def _t_coproduct(d: int) -> TensorElement:
-    tw = NormalWord(t_exp=d)
-    return TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
+def _factors(word: Word) -> tuple:
+    """A free word's factor stream: its ladder letters, and ("T", d) for each
+    maximal run of T and T^-1 with net power d; the empty word is one run."""
+    out = []
+    for is_t, run in groupby(word, key=lambda sym: sym.kind in ("T", "Tinv")):
+        out += [("T", sum(1 if sym.kind == "T" else -1 for sym in run))] if is_t else run
+    return tuple(out) or (("T", 0),)
 
 
 @lru_cache(maxsize=512)
-def _gen_coproduct(sym: GeneratorSymbol) -> TensorElement:
-    kind, n = sym
-    if kind in ("T", "Tinv"):
-        return _t_coproduct(1 if kind == "T" else -1)
+def _factor_coproduct(factor) -> TensorElement:
+    """delta of a factor: T^d (x) T^d, or X[n] (x) T^n + T^n (x) X[n]."""
+    kind, n = factor
+    one = LaurentPoly.one()
+    if kind == "T":
+        tn = NormalWord(t_exp=n)
+        return TensorElement._raw(STANDARD, {(tn, tn): one})
     gen = NormalWord(l_block=((n, 1),)) if kind == "L" else NormalWord(w_block=((n, 1),))
     tn = NormalWord(t_exp=n)
-    one = LaurentPoly.one()
     return TensorElement._raw(STANDARD, {(gen, tn): one, (tn, gen): one})
 
 
 @lru_cache(maxsize=512)
-def _gen_antipode(sym: GeneratorSymbol) -> Element:
-    kind, n = sym
+def _factor_antipode(factor) -> tuple:
+    """S of a factor as terms: T^-d, or -T^-n X[n] T^-n, whose T-powers
+    cross X[n] in closed form, so |n| costs nothing extra."""
+    kind, n = factor
+    t = ((NormalWord(t_exp=-n), LaurentPoly.one()),)
     if kind == "T":
-        return _t_power(-1)
-    if kind == "Tinv":
-        return _t_power(1)
-    # The T-powers cross X[n] in closed form, so |n| costs nothing extra.
-    t = _t_power(-n)
-    return -multiply(multiply(t, element_from(sym)), t)
+        return t
+    gen = NormalWord(l_block=((n, 1),)) if kind == "L" else NormalWord(w_block=((n, 1),))
+    return tuple(product_chain((t, ((gen, -LaurentPoly.one()),), t), STANDARD)._terms.items())
 
 
-def _factor_images(word, gen_image, t_image):
-    """Images of a free word's factors, left to right: one per ladder symbol
-    and one, t_image(d), per maximal run of T and T^-1 with net power d."""
-    for is_t, run in groupby(word, key=lambda sym: sym.kind in ("T", "Tinv")):
-        if is_t:
-            yield t_image(sum(1 if sym.kind == "T" else -1 for sym in run))
-        else:
-            yield from map(gen_image, run)
+def _coproduct_of(factors: tuple) -> TensorElement:
+    """delta of a factor stream: the product of the factor images."""
+    return reduce(tensor_multiply, map(_factor_coproduct, factors))
+
+
+def _antipode_of(factors: tuple) -> Element:
+    """S of a factor stream: the factor images multiplied in reverse."""
+    return product_chain(map(_factor_antipode, reversed(factors)), STANDARD)
 
 
 def map_word_coproduct(word: Word) -> TensorElement:
-    """delta on a free word: the product of the generator images, a T-run
-    mapping to T^d (x) T^d in one step."""
-    out = TensorElement.unit()
-    for image in _factor_images(word, _gen_coproduct, _t_coproduct):
-        out = tensor_multiply(out, image)
-    return out
+    """delta on a free word, a T-run mapping to T^d (x) T^d in one step."""
+    return _coproduct_of(_factors(word))
 
 
 def map_word_antipode(word: Word) -> Element:
-    """S on a free word: images of the symbols multiplied in reverse, a
-    T-run mapping to T^-d in one step."""
-    images = _factor_images(reversed(word), _gen_antipode, lambda d: _t_power(-d))
-    return product_chain((image._terms.items() for image in images), STANDARD)
+    """S on a free word, a T-run mapping to T^-d in one step."""
+    return _antipode_of(_factors(word))
 
 
 def map_word_counit(word: Word) -> LaurentPoly:
@@ -191,19 +191,12 @@ def map_word_counit(word: Word) -> LaurentPoly:
 
 @lru_cache(maxsize=1 << 14)
 def _word_coproduct(nw: NormalWord) -> TensorElement:
-    # Group-like T-power in one step, then the ladder images.
-    tw = NormalWord(t_exp=nw.t_exp)
-    out = TensorElement._raw(STANDARD, {(tw, tw): LaurentPoly.one()})
-    for letter in nw.letters:
-        out = tensor_multiply(out, _gen_coproduct(GeneratorSymbol(*letter)))
-    return out
+    return _coproduct_of((("T", nw.t_exp), *nw.letters))
 
 
 @lru_cache(maxsize=1 << 14)
 def _word_antipode(nw: NormalWord) -> Element:
-    # S(T^d X1...Xr) = S(Xr)...S(X1) T^-d, multiplied left to right.
-    images = [_gen_antipode(GeneratorSymbol(*letter)) for letter in reversed(nw.letters)]
-    return product_chain([x._terms.items() for x in images + [_t_power(-nw.t_exp)]], STANDARD)
+    return _antipode_of((("T", nw.t_exp), *nw.letters))
 
 
 def coproduct(x: Element) -> TensorElement:

@@ -14,7 +14,7 @@ not a coercion.
 A product takes one of three paths, all in Python integers:
 
 - unit: a product by exactly 1 returns the other operand, shared;
-- shift: a one-term operand shifts the other's keys (`LaurentPoly.shifted`);
+- shift: a one-term operand shifts the other's keys (`_shift_terms`);
 - image pieces: every other product splits each operand's integer image
   into pieces (`_pieces`), makes one integer product per pair of pieces,
   merges the products per key (`_add_image`) and decodes each key once.
@@ -161,7 +161,7 @@ def _pieces(c: "LaurentPoly", bits: int) -> list:
     if len(terms) == 1:  # a monomial, packed without a loop
         ((eq, ep), v), = terms.items()
         return [(eq + ep, v, ep, abs(v)) if two else (0, v, eq, abs(v))]
-    degrees: dict = {} if two else {0: {eq: v for (eq, _), v in terms.items()}}
+    degrees: dict = {} if two or not terms else {0: {eq: v for (eq, _), v in terms.items()}}
     for (eq, ep), v in terms.items() if two else ():
         degrees.setdefault(eq + ep, {})[ep] = v
     out = []
@@ -317,17 +317,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._terms == _UNIT_TERMS
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
-    def constant_value(self) -> int:
-        """The integer value of a constant polynomial."""
-        if not self._terms:
-            return 0
-        if set(self._terms) == {(0, 0)}:
-            return self._terms[(0, 0)]
-        raise ValueError("polynomial is not constant")
-
     # -- ring structure -------------------------------------------------
 
     def _coerce(self, other):
@@ -373,12 +362,6 @@ class LaurentPoly:
         return _wrap(_mul_terms(self, other), self.nvars)
 
     __rmul__ = __mul__
-
-    def shifted(self, eq: int, ep: int = 0) -> "LaurentPoly":
-        """self * q^eq p^ep, without building the monomial."""
-        if ep and self.nvars == 1:
-            raise ProfileError("p-exponent in a one-variable polynomial")
-        return _wrap(_shift_terms(self._terms, eq, ep), self.nvars)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

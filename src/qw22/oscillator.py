@@ -261,7 +261,7 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
         weight = lambda g: (g, 0)
     else:
         bits = _image_bounds([t for diff in diffs for t in diff], lo, hi)
-        image = lambda c: _pieces(c, bits) if c else []  # a zero scalar has no piece
+        image = lambda c: _pieces(c, bits)
         weight = cache(lambda g: _weight_image(profile, g, bits))
     degree = -1 if profile is TWO_PARAM else 0  # of each weight
     # Plan each (eps, term) in one pass over its ops: its prefix sums, the

@@ -574,27 +574,23 @@ def _cold_caches():
 
 
 def _count_work(monkeypatch) -> tuple:
-    """Lists that gain one entry per nontrivial insertion, Laurent product
-    and Laurent shift from here on."""
-    insertions, products, shifts = [], [], []
+    """Lists that gain one entry per nontrivial insertion and Laurent
+    product from here on."""
+    insertions, products = [], []
     real_steps, real_mul = algebra._insert_steps, laurent._mul_terms
-    real_shifted = LaurentPoly.shifted
     monkeypatch.setattr(
         algebra, "_insert_steps", lambda *a: insertions.append(1) or real_steps(*a)
     )
     monkeypatch.setattr(laurent, "_mul_terms", lambda *a: products.append(1) or real_mul(*a))
-    monkeypatch.setattr(
-        LaurentPoly, "shifted", lambda p, *a: shifts.append(1) or real_shifted(p, *a)
-    )
-    return insertions, products, shifts
+    return insertions, products
 
 
 # Work of (xy)z and x(yz) on the heaviest triple of an associator benchmark
 # round, every cache cold: nontrivial insertions of an L letter into an
-# L-only tail, Laurent products, and Laurent shifts.  The fold carries
+# L-only tail, and Laurent products.  The fold carries
 # integer images, so its only products build the relation factors.
 ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
-ASSOC_WORK_CEILINGS = {"(xy)z": (85, 39, 0), "x(yz)": (70, 59, 0)}
+ASSOC_WORK_CEILINGS = {"(xy)z": (85, 39), "x(yz)": (70, 59)}
 
 
 def test_associator_work_counts(monkeypatch):
@@ -619,16 +615,16 @@ def test_associator_work_counts(monkeypatch):
 
 def test_products_of_normal_forms_make_no_laurent_arithmetic(monkeypatch):
     """With the relation factors at hand, multiply of two normal forms makes
-    no Laurent product and no shift: the fold runs on integer images."""
+    no Laurent product: the fold runs on integer images."""
     x, y, z = (element_from(w) for w in ASSOC_TRIPLE)
     gx, gy = (normalize(w, G) for w in ASSOC_TRIPLE[:2])
     pairs = [(x, y), (y, z), (multiply(x, y), z), (gx, gy), (gy, gx)]
     for a, b in pairs:
         multiply(a, b)
-    insertions, products, shifts = _count_work(monkeypatch)
+    insertions, products = _count_work(monkeypatch)
     for a, b in pairs:
         multiply(a, b)
-    assert not products and not shifts
+    assert not products
 
 
 # -- element arithmetic ------------------------------------------------------

@@ -186,6 +186,48 @@ def test_json_writer_matches_json_dumps(obj):
     assert _json_text(("x", [], {})) == json.dumps(("x", [], {}), indent=2)
 
 
+def _poly(*terms):
+    return {"terms": [{"eq": e, "c": str(c)} for e, c in terms]}
+
+
+def _word(t, l=(), w=()):
+    return {"t": t, "l": [[n, 1] for n in l], "w": [[n, 1] for n in w]}
+
+
+def test_map_commands_json_output():
+    """Each map command's --json output, byte for byte."""
+    coproduct = {"terms": [
+        {"coeff": _poly((1, 1)), "slots": [_word(-1, w=[2]), _word(1)]},
+        {"coeff": _poly((0, 1)), "slots": [_word(0, l=[1]), _word(1)]},
+        {"coeff": _poly((1, 1)), "slots": [_word(1), _word(-1, w=[2])]},
+        {"coeff": _poly((0, 1)), "slots": [_word(1), _word(0, l=[1])]},
+    ]}
+    antipode = {"terms": [
+        {"coeff": _poly((-7, 1)), **_word(-2, w=[1])},
+        {"coeff": _poly((-6, 1)), **_word(-2, l=[1], w=[0])},
+        {"coeff": _poly((0, 2)), **_word(-1)},
+    ]}
+    limit = {"terms": [
+        {"coeff": "2", **_word(0, w=[3])},
+        {"coeff": "1", **_word(0, l=[2], w=[1])},
+    ]}
+    for argv, want in (
+        (["coproduct", "--json", "L[1] + q T^-1 W[2]"], coproduct),
+        (["antipode", "--json", "L[1] W[0] + 2 T"], antipode),
+        (["counit", "--json", "T^-3 + 2"], _poly((0, 3))),
+        (["limit", "--json", "W[1] L[2] + q W[3]"], limit),
+    ):
+        assert run(argv) == (0, json.dumps(want, indent=2) + "\n", ""), argv
+    assert run(["counit", "T^-3 + 2"]) == (0, "3\n", "")
+    assert run(["limit", "W[1] L[2] + q W[3]"]) == (0, "2 * W[3] + L[2] W[1]\n", "")
+
+
+def test_profile_flag_only_where_declared():
+    code, out, err = run(["coproduct", "--profile", "generalized", "L[1]"])
+    assert (code, out) == (2, "")
+    assert err.endswith("qw22: error: unrecognized arguments: --profile L[1]\n")
+
+
 def test_unknown_subcommand_exits_2():
     assert run(["frobnicate"])[0] == 2
     assert run([])[0] == 2

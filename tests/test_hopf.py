@@ -341,6 +341,13 @@ def test_t_runs_map_in_one_step():
             s = multiply(s, antipode(el(sym)))
         assert hopf.map_word_coproduct(word) == delta, word
         assert hopf.map_word_antipode(word) == s, word
+    # A normal word's maps agree with those of its generator sequence.
+    block = lambda k: tuple((n, rng.randint(1, 2)) for n in sorted(rng.sample(range(-2, 3), k)))
+    for _ in range(60):
+        nw = NormalWord(rng.randint(-3, 3), block(rng.randint(0, 2)), block(rng.randint(0, 2)))
+        word = nw.generator_sequence()
+        assert hopf._word_coproduct(nw) == hopf.map_word_coproduct(word), nw
+        assert hopf._word_antipode(nw) == hopf.map_word_antipode(word), nw
 
 
 def test_unknown_axiom_id():

@@ -34,10 +34,7 @@ def test_constants_and_predicates():
     assert LaurentPoly.zero().is_zero()
     assert LaurentPoly.one().is_one()
     assert not LaurentPoly.one().is_zero()
-    assert LaurentPoly.constant(7).constant_value() == 7
     assert LaurentPoly.q_power(0) == LaurentPoly.one()
-    assert LaurentPoly.q_power(2).is_monomial()
-    assert not (LaurentPoly.q_power(2) + LaurentPoly.one()).is_monomial()
 
 
 def test_zero_coefficients_are_dropped():
@@ -117,20 +114,6 @@ def test_products_by_one_share_the_other_operand():
         for one in (LaurentPoly.one(nvars), LaurentPoly.constant(1, nvars), 1):
             assert p * one is p
             assert one * p is p
-
-
-def test_shifted_is_a_product_by_a_monomial():
-    rng = random.Random(17)
-    for nvars in (1, 2):
-        for _ in range(60):
-            p = rand_poly(rng, nvars)
-            eq = rng.randint(-9, 9)
-            ep = rng.randint(-9, 9) if nvars == 2 else 0
-            got = p.shifted(eq, ep)
-            assert got.nvars == nvars
-            assert got == p * LaurentPoly.monomial(1, eq, ep, nvars=nvars)
-    with pytest.raises(ProfileError):
-        q_int(2).shifted(1, 1)
 
 
 def test_q_int_anchor_values():
@@ -288,16 +271,15 @@ def test_pieces_are_the_value_at_a_power_of_two():
     """The pieces (d, n, e, l) of `_pieces(a, bits)` of one total degree d
     sum, as n X^e, to the degree-d part of a at q -> X (one variable, where
     d is 0) or at q -> 1, p -> X (two), X = 2^bits, and their l to its l1
-    norm."""
+    norm.  Zero has no piece, with either variable count."""
     rng = random.Random(8)
     for nvars in (1, 2):
         degree = (lambda key: key[0] + key[1]) if nvars == 2 else (lambda key: 0)
         for bits in (1, 7, 30):
             x = Fraction(2) ** bits
+            assert laurent._pieces(LaurentPoly.zero(nvars), bits) == []
             for _ in range(20):
                 a = rand_poly(rng, nvars, terms=6)
-                if not a:  # no caller packs zero
-                    continue
                 parts: dict = {}
                 for d, n, e, l in laurent._pieces(a, bits):
                     value, norm = parts.get(d, (0, 0))
@@ -612,23 +594,19 @@ def test_long_sparse_reads_skip_empty_lanes():
 )
 def test_monomial_shift_checks_the_exponent_window(terms, margin, edge):
     # a monomial at `margin` inside one end of the window, times a
-    # polynomial, and the same shift by `shifted`
+    # polynomial, on either side
     bound = laurent.EXPONENT_BOUND
     e = bound - margin if edge[1] == "+" else -(bound - margin)
     shift = (e, 0) if edge[0] == "q" else (0, e)
     m = LaurentPoly.monomial(-3, *shift, nvars=2)
     poly = LaurentPoly(terms, 2)
-    cases = [
-        (lambda: m * poly, m),
-        (lambda: poly * m, m),
-        (lambda: poly.shifted(*shift), LaurentPoly.monomial(1, *shift, nvars=2)),
-    ]
+    cases = [lambda: m * poly, lambda: poly * m]
     out = [(e + eq, ep) if edge[0] == "q" else (eq, e + ep) for eq, ep in terms]
     if all(abs(x) <= bound for key in out for x in key):
-        for result, monomial in cases:
-            assert result() == pair_loop_product(monomial, poly)
+        for result in cases:
+            assert result() == pair_loop_product(m, poly)
     else:
-        for result, _ in cases:
+        for result in cases:
             with pytest.raises(ArithmeticBoundError, match="left the checked 64-bit window"):
                 result()
 

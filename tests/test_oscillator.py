@@ -821,6 +821,26 @@ def test_associativity_residual_acts_as_zero():
     assert classical_limit(residual).is_zero()
 
 
+def test_words_with_two_w_letters_act_as_zero():
+    """W takes occupancy 0 to 1 and kills occupied vectors, so every word
+    with two W letters acts as zero: rewriting keeps the W count, and the
+    oracle's verdict on such a word compares zero with zero."""
+    letters = [make(n) for make in (L, W) for n in (-1, 0, 1)]
+    words = [
+        word
+        for size in (2, 3)
+        for word in itertools.product(letters, repeat=size)
+        if sum(sym.kind == "W" for sym in word) >= 2
+    ]
+    assert len(words) == 117
+    for prof in (C, Q, P2):
+        for k in range(-6, 7):
+            for eps in (0, 1):
+                v = basis_vector(prof, k, eps)
+                for word in words:
+                    assert apply_word(word, v).is_zero(), (prof, word, k, eps)
+
+
 def test_apply_word_matches_generator_chain():
     v = basis_vector(Q, 2, 0)
     step = apply_generator(L(1), apply_generator(L(2), v))
