@@ -125,16 +125,22 @@ class NormalWord(tuple):
         t = self[0]
         return (T if t > 0 else T_INV,) * abs(t) + tuple(GeneratorSymbol(*x) for x in self[1])
 
-    def to_json_obj(self) -> dict:
-        t, lb, wb = self.sort_key()
-        return {"t": t, "l": [[n, k] for n, k in lb], "w": [[n, k] for n, k in wb]}
+    to_json_obj = lambda self: _word_json(self.sort_key())
+    text = lambda self: _word_text(self.sort_key())
 
-    def text(self) -> str:
-        d, lb, wb = self.sort_key()
-        pieces = ["T" if d == 1 else f"T^{d}"] if d else []
-        for kind, block in (("L", lb), ("W", wb)):
-            pieces += [f"{kind}[{n}]" if k == 1 else f"{kind}[{n}]^{k}" for n, k in block]
-        return " ".join(pieces)
+
+# A normal word's JSON tree and text, read off its sort key.
+def _word_json(key) -> dict:
+    t, lb, wb = key
+    return {"t": t, "l": [[n, k] for n, k in lb], "w": [[n, k] for n, k in wb]}
+
+
+def _word_text(key) -> str:
+    d, lb, wb = key
+    pieces = ["T" if d == 1 else f"T^{d}"] if d else []
+    for kind, block in (("L", lb), ("W", wb)):
+        pieces += [f"{kind}[{n}]" if k == 1 else f"{kind}[{n}]^{k}" for n, k in block]
+    return " ".join(pieces)
 
 
 UNIT_WORD = NormalWord()
@@ -181,12 +187,13 @@ class Combination:
     with no zero coefficient.
 
     Subclasses check their input in __init__ and name their key order
-    (`_sort_key`, on (key, coeff) pairs) and key text (`_key_text`); the
-    arithmetic, equality, hashing, immutability and text form live here.
+    (`_sort_key`) and key text and JSON read off it (`_key_text`, `_key_json`);
+    the arithmetic, equality, hashing, immutability, text and JSON live here.
     Sums need equal types and the same profile.
     """
 
     __slots__ = ("profile", "_terms")
+    _coeff_json = staticmethod(LaurentPoly.to_json_obj)
 
     def __init__(self, profile, terms: dict | None = None):
         object.__setattr__(self, "profile", profile)
@@ -203,9 +210,13 @@ class Combination:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _sorted(self) -> list:
+        """(sort key, key, coeff) in canonical key order, each sort key read once."""
+        return sorted([(self._sort_key(k), k, c) for k, c in self._terms.items()], key=itemgetter(0))
+
     def terms(self) -> tuple:
         """Term pairs (key, coeff) in canonical ascending key order."""
-        return tuple(sorted(self._terms.items(), key=self._sort_key))
+        return tuple([(k, c) for _, k, c in self._sorted()])
 
     @property
     def term_count(self) -> int:
@@ -272,14 +283,14 @@ class Combination:
     def _render(self) -> str:
         """`coeff * key` terms in key order, joined by their signs; a lone
         term with an empty key text is the coefficient alone."""
-        items = self.terms()
+        items = self._sorted()
         if not items:
             return "0"
         key_text = self._key_text
         if len(items) == 1 and not key_text(items[0][0]):
-            return str(items[0][1])
+            return str(items[0][2])
         chunks = []
-        for key, c in items:
+        for key, _, c in items:
             kt = key_text(key)
             neg, mag = _signed(c)
             body = (f"{mag} * {kt}" if mag else kt) if kt else (mag or "1")
@@ -289,17 +300,16 @@ class Combination:
                 chunks.append(f"-{body}" if neg else body)
         return " ".join(chunks)
 
-
-def _word_order(term):
-    return term[0].sort_key()
+    def to_json_obj(self) -> dict:
+        return {"terms": [{"coeff": self._coeff_json(c), **self._key_json(k)} for k, _, c in self._sorted()]}
 
 
 class Element(Combination):
     """A finite linear combination of normal words over the profile's ring."""
 
     __slots__ = ()
-    _sort_key = staticmethod(_word_order)
-    _key_text = staticmethod(NormalWord.text)
+    _sort_key = staticmethod(NormalWord.sort_key)
+    _key_text, _key_json = staticmethod(_word_text), staticmethod(_word_json)
 
     def __init__(self, profile: DeformationProfile, terms: dict | None = None):
         for nw, c in (terms or {}).items():
@@ -324,11 +334,6 @@ class Element(Combination):
 
     def __str__(self):
         return element_text(self)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [{"coeff": c.to_json_obj(), **nw.to_json_obj()} for nw, c in self.terms()]
-        }
 
 
 def element_from(x, profile: DeformationProfile = STANDARD) -> Element:
@@ -609,22 +614,24 @@ def _fold(state: dict, letters, profile, bits) -> dict:
     return state
 
 
-def _exact(fold, args, profile, bits: int = _LANE_BITS, state=None) -> dict:
+def _exact(fold, args, profile, bits: int = _LANE_BITS, state=None, word=None) -> dict:
     """fold(*args, bits), or its given state at the default bits, decoded to
-    {NormalWord: coeff}.  An l1 bound of 2^(bits - 1) reruns it wider once."""
+    {word(a, b): coeff} over its keys (a, b, (kappa, bucket)); by default the
+    NormalWord of T-power a, window-checked, and tail b.  An l1 bound of
+    2^(bits - 1) reruns it wider once."""
     state, nvars, out = fold(*args, bits) if state is None else state, profile.nvars, {}
-    for (t, tail, (kappa, _)), (n, e, l) in state.items():
+    for (a, b, (kappa, _)), (n, e, l) in state.items():
         if l >> (bits - 1):  # no bound depends on bits, so one rerun decodes
             bits = max(l for _, _, l in state.values()).bit_length() + 2
-            return _exact(fold, args, profile, bits)
-        c = from_image(n, e, bits, nvars, kappa + len(tail))
-        if abs(t) > EXPONENT_BOUND:
+            return _exact(fold, args, profile, bits, word=word)
+        c = from_image(n, e, bits, nvars, kappa + len(b))
+        if word is None and abs(a) > EXPONENT_BOUND:
             raise ArithmeticBoundError("T-power beyond the checked window")
-        nw = tuple.__new__(NormalWord, (t, tail))  # a normal, capped tail
+        key = word(a, b) if word else tuple.__new__(NormalWord, (a, b))  # a normal, capped tail
         size = len(out)
-        out.setdefault(nw, c)
-        if len(out) == size:  # the same word at another kappa or bucket
-            _add_term(out, nw, c)
+        out.setdefault(key, c)
+        if len(out) == size:  # the same key at another kappa or bucket
+            _add_term(out, key, c)
     return out
 
 
@@ -709,14 +716,12 @@ class NumericElement(Combination):
     """An Element whose coefficients have been evaluated to exact rationals."""
 
     __slots__ = ()
-    _sort_key = staticmethod(_word_order)
-    _key_text = staticmethod(NormalWord.text)
+    _sort_key = staticmethod(NormalWord.sort_key)
+    _key_text, _key_json = staticmethod(_word_text), staticmethod(_word_json)
+    _coeff_json = staticmethod(str)
 
     def __init__(self, terms: dict | None = None):
         super().__init__(None, {nw: Fraction(c) for nw, c in terms.items()} if terms else None)
-
-    def to_json_obj(self) -> dict:
-        return {"terms": [{"coeff": str(c), **nw.to_json_obj()} for nw, c in self.terms()]}
 
 
 def evaluate(x: Element, q_val, p_val=None) -> NumericElement:

@@ -75,11 +75,10 @@ def _json_text(obj, indent: str = "\n") -> str:
     return int.__repr__(obj) if type(obj) is int else json.dumps(obj)
 
 
-def _emit(args, text_value, json_obj):
-    if args.json:
-        print(_json_text(json_obj))
-    else:
-        print(text_value)
+def _emit(args, value) -> int:
+    """Print value in the one form asked for, JSON or text; build only that."""
+    print(_json_text(value.to_json_obj()) if args.json else value)
+    return 0
 
 
 # The map commands: name -> map of the parsed Element.  Each entry looks its
@@ -94,9 +93,7 @@ _MAPS = {
 
 
 def _cmd_map(args) -> int:
-    value = _MAPS[args.command](parse_element(args.expr, _PROFILES[args.profile]))
-    _emit(args, str(value), value.to_json_obj())
-    return 0
+    return _emit(args, _MAPS[args.command](parse_element(args.expr, _PROFILES[args.profile])))
 
 
 def _cmd_eval(args) -> int:
@@ -107,10 +104,7 @@ def _cmd_eval(args) -> int:
     if profile is GENERALIZED and args.p is None:
         print("error: the generalized profile needs --p", file=sys.stderr)
         return 2
-    el = parse_element(args.expr, profile)
-    num = evaluate(el, args.q, args.p)
-    _emit(args, str(num), num.to_json_obj())
-    return 0
+    return _emit(args, evaluate(parse_element(args.expr, profile), args.q, args.p))
 
 
 def _cmd_check(args) -> int:
@@ -147,30 +141,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, profile_flag=False):
+    def add(name, func, help_text, generalized=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("expr", help="element expression, e.g. 'L[2]*L[1]'")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if profile_flag:
-            p.add_argument(
-                "--profile",
-                choices=sorted(_PROFILES),
-                default="standard",
-                help="coefficient and relation profile",
-            )
-        else:
-            p.set_defaults(profile="standard")
+        p.add_argument(
+            "--profile",
+            choices=sorted(_PROFILES) if generalized else ["standard"],
+            default="standard",
+            help="coefficient and relation profile",
+        )
         p.set_defaults(func=func)
         return p
 
     add("normalize", _cmd_map, "rewrite an expression into the PBW basis",
-        profile_flag=True)
+        generalized=True)
     add("coproduct", _cmd_map, "apply the coproduct")
     add("antipode", _cmd_map, "apply the antipode")
     add("counit", _cmd_map, "apply the counit")
 
     p_eval = add("eval", _cmd_eval, "evaluate coefficients at rational points",
-                 profile_flag=True)
+                 generalized=True)
     p_eval.add_argument("--q", type=_fraction, required=True,
                         help="rational value for q, e.g. 3/2")
     p_eval.add_argument("--p", type=_fraction, default=None,

@@ -36,14 +36,15 @@ from .algebra import (
     _bracket,
     _chain,
     _exact,
+    _product_state,
     _t_crossing,
     element_from,
     multiply,
     normalize,
     product_chain,
 )
-from .errors import ProfileError
-from .laurent import LaurentPoly
+from .errors import ArithmeticBoundError, ProfileError
+from .laurent import EXPONENT_BOUND, LaurentPoly, _add_image, _bucket, _pieces
 
 
 def _require_standard(x: Element):
@@ -56,8 +57,9 @@ class TensorElement(Combination):
     for the coproduct, three for the coassociativity diagram."""
 
     __slots__ = ()
-    _sort_key = staticmethod(lambda term: tuple(map(NormalWord.sort_key, term[0])))
-    _key_text = staticmethod(lambda key: " (x) ".join([f"({w.text() or '1'})" for w in key]))
+    _sort_key = staticmethod(lambda key: tuple(map(NormalWord.sort_key, key)))
+    _key_text = staticmethod(lambda key: " (x) ".join([f"({Element._key_text(w) or '1'})" for w in key]))
+    _key_json = staticmethod(lambda key: {"slots": [Element._key_json(w) for w in key]})
 
     def __init__(self, terms: dict | None = None):
         for c in (terms or {}).values():
@@ -77,14 +79,6 @@ class TensorElement(Combination):
     def __str__(self):
         return tensor_text(self)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": c.to_json_obj(), "slots": [w.to_json_obj() for w in key]}
-                for key, c in self.terms()
-            ]
-        }
-
 
 def tensor_of(x: Element, y: Element) -> TensorElement:
     """Outer product of two Elements as a TensorElement."""
@@ -99,18 +93,54 @@ def tensor_of(x: Element, y: Element) -> TensorElement:
     return TensorElement._raw(STANDARD, out)
 
 
-def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
-    """Slotwise product; each slot is normally ordered independently."""
-    one = LaurentPoly.one()
-    out: dict = {}
-    for (a1, a2), c in u._terms.items():
-        for (b1, b2), d in v._terms.items():
+def _tensor_state(tensors, bits: int) -> dict:
+    """The image state {((t1, tail1), (t2, tail2), (0, bucket)): image} of the
+    products of tensors (term maps): per entry and term, the slots' fold states
+    (a right slot once per step; never empty, a longest word coming from swaps
+    alone) multiplied as integers.  Raises past |t| <= 2^63 - 1, |e| <= 2^61."""
+    one, safe, bound = LaurentPoly.one(), EXPONENT_BOUND >> 2, EXPONENT_BOUND
+    state = {(a1, a2, (0, _bucket(e))): (n, e, l)
+             for (a1, a2), c in tensors[0].items() for _, n, e, l in _pieces(c, bits)}
+    for v in tensors[1:]:
+        rights, out = {}, {}
+        for ((t, w), a2, k), image in state.items():
+            for (b1, b2), d in v.items():
+                left = _product_state((((t, w, k), image),), ((b1, d),), STANDARD, bits)
+                if (a2, b2) not in rights:
+                    rights[a2, b2] = _chain(((a2, one),), (((b2, one),),), STANDARD, bits)
+                for (t1, w1, _), (n1, e1, l1) in left.items():
+                    for (t2, w2, _), (n2, e2, l2) in rights[a2, b2].items():
+                        if abs(e1) > safe or abs(e2) > safe or abs(t1) > bound or abs(t2) > bound:
+                            raise ArithmeticBoundError("a slot near the edge of the exponent window")
+                        e = e1 + e2
+                        _add_image(out, ((t1, w1), (t2, w2), (0, _bucket(e))), n1 * n2, e, l1 * l2, bits)
+        state = out
+    return state
+
+
+def _pairwise_product(u: dict, v: dict) -> dict:
+    """u v, each pair's slots decoded and their coefficients then multiplied."""
+    one, out = LaurentPoly.one(), {}
+    for (a1, a2), c in u.items():
+        for (b1, b2), d in v.items():
             left = _exact(_chain, (((a1, c),), (((b1, d),),), STANDARD), STANDARD)
             right = _exact(_chain, (((a2, one),), (((b2, one),),), STANDARD), STANDARD)
             for n1, f1 in left.items():
                 for n2, f2 in right.items():
                     _add_term(out, (n1, n2), f1 * f2)
-    return TensorElement._raw(STANDARD, out)
+    return out
+
+
+def tensor_multiply(*tensors: TensorElement) -> TensorElement:
+    """Slotwise product of tensors, left to right (each slot normally ordered
+    on its own), on one image state decoded once per output term; near the
+    edge of the exponent window pairwise, step by step, as errors are met."""
+    terms = [t._terms for t in tensors]
+    pair = lambda w1, w2: (tuple.__new__(NormalWord, w1), tuple.__new__(NormalWord, w2))
+    try:
+        return TensorElement._raw(STANDARD, _exact(_tensor_state, (terms,), STANDARD, word=pair))
+    except ArithmeticBoundError:
+        return TensorElement._raw(STANDARD, reduce(_pairwise_product, terms))
 
 
 def flip(t: TensorElement) -> TensorElement:
@@ -164,7 +194,7 @@ def _factor_antipode(factor) -> tuple:
 
 def _coproduct_of(factors: tuple) -> TensorElement:
     """delta of a factor stream: the product of the factor images."""
-    return reduce(tensor_multiply, map(_factor_coproduct, factors))
+    return tensor_multiply(*map(_factor_coproduct, factors))
 
 
 def _antipode_of(factors: tuple) -> Element:

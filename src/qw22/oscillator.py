@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import (
@@ -96,7 +95,7 @@ class ModuleVector(Combination):
     """Finite linear combination of basis vectors with exact coefficients."""
 
     __slots__ = ()
-    _sort_key = staticmethod(itemgetter(0))
+    _sort_key = staticmethod(lambda label: label)
     _key_text = staticmethod(lambda label: f"|{label[0]},{label[1]}>")
 
     def __init__(self, profile: OscillatorProfile, terms: dict | None = None):

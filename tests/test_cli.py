@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,9 +224,71 @@ def test_map_commands_json_output():
 
 
 def test_profile_flag_only_where_declared():
-    code, out, err = run(["coproduct", "--profile", "generalized", "L[1]"])
-    assert (code, out) == (2, "")
-    assert err.endswith("qw22: error: unrecognized arguments: --profile L[1]\n")
+    """The commands on the standard profile alone take --profile standard;
+    another profile is an error that names the option, not its value taken
+    as the expression."""
+    for command in ("coproduct", "antipode", "counit", "limit"):
+        code, out, err = run([command, "--profile", "generalized", "L[1]"])
+        assert (code, out) == (2, ""), command
+        assert err.endswith(
+            f"qw22 {command}: error: argument --profile: "
+            "invalid choice: 'generalized' (choose from 'standard')\n"
+        )
+        assert run([command, "--profile", "standard", "L[1]"]) == run([command, "L[1]"])
+
+
+_STD, _GEN = qw22.DeformationProfile.STANDARD, qw22.DeformationProfile.GENERALIZED
+
+
+@pytest.mark.parametrize("argv, value, text", [
+    (["normalize", "2 L[2] L[-1] + q^-2 T W[1]"],
+     lambda: qw22.parse_element("2 L[2] L[-1] + q^-2 T W[1]"),
+     "2*q^-6 * L[-1] L[2] + (-2*q^-1 - 2*q^-3 - 2*q^-5) * L[1] + q^-2 * T W[1]"),
+    (["normalize", "--profile", "generalized", "p L[2] L[-1] + W[0]"],
+     lambda: qw22.parse_element("p L[2] L[-1] + W[0]", _GEN),
+     "W[0] + q^-3*p^4 * L[-1] L[2] + (-q^-1*p - q^-2*p^2 - q^-3*p^3) * L[1]"),
+    (["coproduct", "L[1] + q T^-1 W[2]"],
+     lambda: qw22.coproduct(qw22.parse_element("L[1] + q T^-1 W[2]")),
+     "q * (T^-1 W[2]) (x) (T) + (L[1]) (x) (T) + q * (T) (x) (T^-1 W[2]) + (T) (x) (L[1])"),
+    (["antipode", "L[1] W[0] + 2 T"],
+     lambda: qw22.antipode(qw22.parse_element("L[1] W[0] + 2 T")),
+     "q^-7 * T^-2 W[1] + q^-6 * T^-2 L[1] W[0] + 2 * T^-1"),
+    (["counit", "T^-3 + 2"], lambda: qw22.counit(qw22.parse_element("T^-3 + 2")), "3"),
+    (["limit", "W[1] L[2] + q W[3]"],
+     lambda: qw22.classical_limit(qw22.parse_element("W[1] L[2] + q W[3]")),
+     "2 * W[3] + L[2] W[1]"),
+    (["eval", "--q", "3/2", "W[1] L[2] + q W[3]"],
+     lambda: qw22.evaluate(qw22.parse_element("W[1] L[2] + q W[3]"), Fraction(3, 2)),
+     "3 * W[3] + 9/4 * L[2] W[1]"),
+    (["eval", "--profile", "generalized", "--q", "2", "--p", "1/3", "p L[2] L[-1]"],
+     lambda: qw22.evaluate(qw22.parse_element("p L[2] L[-1]", _GEN), 2, Fraction(1, 3)),
+     "1/648 * L[-1] L[2] - 43/216 * L[1]"),
+])
+def test_each_call_builds_one_output_form(argv, value, text, monkeypatch):
+    """A call builds only the form it prints, str() of its result for text
+    and to_json_obj() under --json, and prints the pinned text or the
+    result's JSON."""
+    value = value()
+    want = {"text": text + "\n", "json": json.dumps(value.to_json_obj(), indent=2) + "\n"}
+    built, depth = [], [0]
+
+    def spy(form, real):
+        def wrapper(self):  # records the outermost build only
+            built.append(form) if not depth[0] else None
+            depth[0] += 1
+            try:
+                return real(self)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for cls in (qw22.Element, qw22.NumericElement, qw22.TensorElement, qw22.LaurentPoly):
+        monkeypatch.setattr(cls, "__str__", spy("text", cls.__str__))
+        monkeypatch.setattr(cls, "to_json_obj", spy("json", cls.to_json_obj))
+    for form in ("text", "json"):
+        built.clear()
+        got = run(argv[:1] + ["--json"] * (form == "json") + argv[1:])
+        assert (got, built) == ((0, want[form], ""), [form])
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,10 +1,11 @@
 """Comultiplication, counit, antipode, and the axiom checker."""
 
 import random
+import sys
 
 import pytest
 
-from qw22 import hopf
+from qw22 import algebra, hopf, laurent
 from qw22 import (
     ArithmeticBoundError,
     DeformationProfile,
@@ -166,6 +167,111 @@ def test_coproduct_of_a_square():
     assert tensor_text(got) == (
         "(L[1]^2) (x) (T^2) + 2*q^4 * (T L[1]) (x) (T L[1]) + (T^2) (x) (L[1]^2)"
     )
+
+
+def _reference_tensor_multiply(u, v):
+    """The per-pair algorithm: each pair's slot products decoded, then their
+    coefficients multiplied as polynomials and summed per tensor key."""
+    one = LaurentPoly.one()
+    out: dict = {}
+    for (a1, a2), c in u._terms.items():
+        for (b1, b2), d in v._terms.items():
+            left = algebra._exact(algebra._chain, (((a1, c),), (((b1, d),),), S), S)
+            right = algebra._exact(algebra._chain, (((a2, one),), (((b2, one),),), S), S)
+            for n1, f1 in left.items():
+                for n2, f2 in right.items():
+                    algebra._add_term(out, (n1, n2), f1 * f2)
+    return TensorElement._raw(S, out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticBoundError as exc:
+        return type(exc), str(exc)
+
+
+def test_tensor_multiply_matches_the_per_pair_products(monkeypatch):
+    """Seeded tensors with multi-term coefficients up to 2^70 (past the
+    default lanes, so the fold reruns wider), T-powers at +-(2^63 - 1)
+    (the same error class and text) and right slots that pairs share; a
+    chain of three against the products taken one at a time."""
+    rng = random.Random(2210)
+    edge = 2**63 - 1
+    widths = []
+    real_state = hopf._tensor_state
+    monkeypatch.setattr(
+        hopf, "_tensor_state", lambda terms, bits: widths.append(bits) or real_state(terms, bits)
+    )
+
+    def word(edges, size):
+        indices = lambda: sorted(rng.sample(range(-3, 4), rng.randint(0, size)))
+        block = lambda: tuple((n, rng.randint(1, 2)) for n in indices())
+        t_exp = rng.choice((0, 0, 0, 1, -1, -2, 3) + (edge, -edge) * edges)
+        return NormalWord(t_exp, block(), block())
+
+    def coefficient(edges):
+        exponent = lambda: rng.choice((rng.randint(-4, 4),) * 9 + (2**62, -(2**62)) * edges)
+        terms = {(exponent(), 0): rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.choice((3, 40, 70)))
+                 for _ in range(rng.randint(1, 3))}
+        return LaurentPoly(terms)
+
+    def tensor(edges=True, size=2):
+        rights = [word(edges, size) for _ in range(2)]  # few right slots: pairs share them
+        return TensorElement({(word(edges, size), rng.choice(rights)): coefficient(edges)
+                              for _ in range(rng.randint(1, 4))})
+
+    outcomes = []
+    for i in range(100):
+        u, v = tensor(), tensor()
+        want = _outcome(_reference_tensor_multiply, u, v)
+        assert _outcome(tensor_multiply, u, v) == want, (u, v)
+        outcomes.append(type(want))
+        if i % 4 == 0:
+            # short words keep the forms of a chain of three small
+            u, v, w = (tensor(i % 8 == 0, size=1) for _ in range(3))
+            want = _outcome(lambda: _reference_tensor_multiply(_reference_tensor_multiply(u, v), w))
+            assert _outcome(tensor_multiply, u, v, w) == want, (u, v, w)
+            outcomes.append(type(want))
+    assert max(widths) > 64  # some products reran wider
+    assert outcomes.count(TensorElement) > 20 and outcomes.count(tuple) > 20
+
+
+def test_tensor_multiply_decodes_once_per_output_term(monkeypatch):
+    """Counted work: one image decode per output tensor key, and no
+    Laurent product."""
+    x = normalize((L(2), T, W(-1), L(-1))).scaled(q_int(3)) + el(W(1), L(1))
+    u, v = coproduct(x), coproduct(el(L(-2), T_INV, W(0)) - el(L(1)))
+    want = tensor_multiply(u, v)  # warms the relation caches
+    decodes, products = [], []
+    real_decode, real_mul = algebra.from_image, laurent._mul_terms
+    monkeypatch.setattr(algebra, "from_image", lambda *a: decodes.append(a) or real_decode(*a))
+    monkeypatch.setattr(laurent, "_mul_terms", lambda *a: products.append(a) or real_mul(*a))
+    assert tensor_multiply(u, v) == want
+    assert len(decodes) == want.term_count > 20 and products == []
+
+
+def test_a_render_reads_each_word_once():
+    """Text and JSON of an N-term Element and of an N-term tensor read the
+    blocks of each word once per slot: N and 2N calls of sort_key."""
+    x = normalize((L(2), T, W(-1), L(-1))).scaled(q_int(3)) + el(W(1), L(1), L(1))
+    t = coproduct(x)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is NormalWord.sort_key.__code__:
+            calls.append(1)
+
+    for value, per_term in ((x, 1), (t, 2)):
+        for render in (str, lambda v: v.to_json_obj()):
+            calls.clear()
+            sys.setprofile(count)
+            try:
+                render(value)
+            finally:
+                sys.setprofile(None)
+            assert len(calls) == per_term * value.term_count > per_term, (value, render)
+    assert [k for k, _ in t.terms()] == sorted(t._terms, key=lambda k: [w.sort_key() for w in k])
 
 
 # -- closed forms -------------------------------------------------------------
