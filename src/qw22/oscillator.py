@@ -20,7 +20,7 @@ module action: only the T-free subalgebra is represented.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
@@ -42,6 +42,8 @@ class OscillatorProfile(Enum):
     CLASSICAL = "classical"
     Q_DEFORMED = "q-deformed"
     TWO_PARAM = "two-param"
+    # Memo keys, compared by identity: the id hash spares Enum's Python one.
+    __hash__ = object.__hash__
 
     @property
     def nvars(self) -> int:
@@ -80,6 +82,8 @@ def _check_grade(k: int) -> int:
     return k
 
 
+# A cold `oracle` round hits 640 / 78 misses; without the memo `oracle` ran
+# 7.7% slower (slower in 12 of 14 pairs).
 @lru_cache(maxsize=8192)
 def ladder_weight(profile: OscillatorProfile, k: int) -> LaurentPoly:
     """The weight lambda_k picked up when the lowering operator acts on
@@ -97,6 +101,7 @@ class ModuleVector(Combination):
     __slots__ = ()
     _sort_key = staticmethod(lambda label: label)
     _key_text = staticmethod(lambda label: f"|{label[0]},{label[1]}>")
+    _key_json = staticmethod(lambda label: {"k": label[0], "eps": label[1]})
 
     def __init__(self, profile: OscillatorProfile, terms: dict | None = None):
         for label, c in (terms or {}).items():
@@ -226,8 +231,9 @@ def _image_bounds(terms, lo: int, hi: int) -> int:
 
 
 # lambda_g is one piece in every profile (odd q-exponents two lanes apart, or
-# degree -1 with dense p-lanes), so calls share its image.  A cold `oracle` round
-# meets 760-870 keys, 3 of 4 lookups hit; 10 rounds 1,215 keys, ~0.3 kB each.
+# degree -1 with dense p-lanes), so calls share its image.  `_compare` asks it
+# once per weighted op and grade: a cold `oracle` round hits 19,362 / 718
+# misses; 10 rounds meet 1,215 keys, ~0.3 kB each.
 @lru_cache(maxsize=4096)
 def _weight_image(profile: OscillatorProfile, g: int, bits: int) -> tuple:
     ((_, n, e, _),) = _pieces(ladder_weight(profile, g), bits)
@@ -261,7 +267,7 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
     else:
         bits = _image_bounds([t for diff in diffs for t in diff], lo, hi)
         image = lambda c: _pieces(c, bits)
-        weight = cache(lambda g: _weight_image(profile, g, bits))
+        weight = lambda g: _weight_image(profile, g, bits)
     degree = -1 if profile is TWO_PARAM else 0  # of each weight
     # Plan each (eps, term) in one pass over its ops: its prefix sums, the
     # grades whose weights it takes, its dead set {-s_j: first weighted op j}

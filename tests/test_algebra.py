@@ -567,12 +567,6 @@ def test_t_crossings_at_the_edge_of_the_exponent_window():
             multiply(outside, t)
 
 
-def _cold_caches():
-    algebra._insert_cache.clear()
-    algebra._pair_rule.cache_clear()
-    algebra._fuse_image.cache_clear()
-
-
 def _count_work(monkeypatch) -> tuple:
     """Lists that gain one entry per nontrivial insertion and Laurent
     product from here on."""
@@ -593,14 +587,14 @@ ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
 ASSOC_WORK_CEILINGS = {"(xy)z": (85, 39), "x(yz)": (70, 59)}
 
 
-def test_associator_work_counts(monkeypatch):
+def test_associator_work_counts(monkeypatch, cold_caches):
     """Counted work, not time: W letters are placed in closed form, so only
     L-block insertions reach the memoized recursion; coefficients are
     integer images, so swap factors and merges make no Laurent product."""
     work = _count_work(monkeypatch)
     counts = {}
     for grouping in ASSOC_WORK_CEILINGS:
-        _cold_caches()
+        cold_caches()
         for w in work:
             w.clear()
         x, y, z = (element_from(w) for w in ASSOC_TRIPLE)

@@ -128,6 +128,18 @@ def test_tensor_multiply_examples():
     assert tensor_text(got) == "q^4 * (T L[1]) (x) (T L[1])"
 
 
+def test_tensor_api_input_checks():
+    """The product of no tensors is the unit, as `product_chain` of no
+    factors is the unit Element; flip rejects keys of other than two slots."""
+    u = tensor_of(el(L(1)), el(T))
+    assert tensor_multiply() == TensorElement.unit()
+    assert tensor_multiply(u) == u
+    assert flip(TensorElement()) == TensorElement()
+    for slots in ((NormalWord(),), (NormalWord(),) * 3):
+        with pytest.raises(ValueError, match="^flip takes a two-slot tensor$"):
+            flip(TensorElement({slots: LaurentPoly.one()}))
+
+
 def test_tensor_element_is_linear_and_immutable():
     u = tensor_of(el(L(1)), el(T))
     v = tensor_of(el(T), el(L(1)))

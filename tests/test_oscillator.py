@@ -130,6 +130,21 @@ def test_vectors_are_linear():
     assert str(two) == "-p * |-1,0> + (-q^-1*p^-2 - q^-2*p^-1) * |2,0>"
 
 
+def test_vector_json_form():
+    """Each term is its coefficient's JSON beside the label's k and eps; a
+    two-parameter coefficient carries its p exponents."""
+    v = basis_vector(Q, 2, 0).scaled(q_int(2)) - basis_vector(Q, -1, 1)
+    assert v.to_json_obj() == {
+        "terms": [
+            {"coeff": {"terms": [{"eq": 0, "c": "-1"}]}, "k": -1, "eps": 1},
+            {"coeff": {"terms": [{"eq": 1, "c": "1"}, {"eq": -1, "c": "1"}]}, "k": 2, "eps": 0},
+        ]
+    }
+    assert basis_vector(P2, 3, 1).scaled(q_int(-1, 2)).to_json_obj() == {
+        "terms": [{"coeff": {"terms": [{"eq": -1, "ep": -1, "c": "-1"}]}, "k": 3, "eps": 1}]
+    }
+
+
 def test_profile_mismatch_raises():
     v = basis_vector(C, 1, 0)
     w = basis_vector(Q, 1, 0)
@@ -183,7 +198,7 @@ def test_relation_profile_pairing():
             check_relation(rel, C, (-2, 2))
 
 
-def test_ladder_identities_read_the_rewrite_table(monkeypatch):
+def test_ladder_identities_read_the_rewrite_table(monkeypatch, cold_caches):
     """qLE and gq take their coefficients from the rewriter's relation
     table, so a wrong convention there fails against the module action."""
     rule = algebra._pair_rule
@@ -192,19 +207,14 @@ def test_ladder_identities_read_the_rewrite_table(monkeypatch):
         swap, fuse, fused = rule(left, right, profile)
         return swap, (None if fuse is None else -fuse), fused
 
-    def clear():
-        rule.cache_clear()
-        algebra._fuse_image.cache_clear()
-        algebra._insert_cache.clear()
-
-    clear()
+    cold_caches()
     monkeypatch.setattr(algebra, "_pair_rule", flipped)
     try:
         assert not check_relation(("qLE", 2, -1), Q, (-4, 4))[0]
         assert not check_relation(("gq", 2, -1), P2, (-4, 4))[0]
     finally:
         monkeypatch.undo()
-        clear()
+        cold_caches()
     assert check_relation(("qLE", 2, -1), Q, (-4, 4)) == (True, None)
     assert check_relation(("gq", 2, -1), P2, (-4, 4)) == (True, None)
 
@@ -245,7 +255,7 @@ def reference_relation(rel, prof, k_range):
     return True, None
 
 
-def test_relation_checks_match_the_vector_reference(monkeypatch):
+def test_relation_checks_match_the_vector_reference(monkeypatch, cold_caches):
     """Adversarial controls: under a flipped fuse sign, a swap factor times
     q and a dropped fuse term in the rewriter's table, check_relation gives
     the reference's verdict and witness on every ladder identity."""
@@ -263,13 +273,8 @@ def test_relation_checks_match_the_vector_reference(monkeypatch):
         "dropped fuse": lambda swap, fuse, fused: (swap, None, None),
     }
 
-    def clear():
-        rule.cache_clear()
-        algebra._fuse_image.cache_clear()
-        algebra._insert_cache.clear()
-
     for name, edit in variants.items():
-        clear()
+        cold_caches()
         monkeypatch.setattr(algebra, "_pair_rule", variant(edit))
         try:
             failed = 0
@@ -282,7 +287,7 @@ def test_relation_checks_match_the_vector_reference(monkeypatch):
             assert failed > 40, (name, failed)
         finally:
             monkeypatch.undo()
-            clear()
+            cold_caches()
 
 
 def test_relation_checks_compare_occupied_vectors(monkeypatch):
@@ -718,17 +723,13 @@ def count_products(monkeypatch) -> list:
     return products
 
 
-def test_oracle_product_counts(monkeypatch):
+def test_oracle_product_counts(monkeypatch, cold_caches):
     """Counted work, not time: only normalize and ladder_weight multiply
     Laurent polynomials; the comparison runs on integer images."""
     products = count_products(monkeypatch)
     counts = {}
     for text, prof in ORACLE_PRODUCT_CEILINGS:
-        algebra._insert_cache.clear()
-        algebra._pair_rule.cache_clear()
-        algebra._fuse_image.cache_clear()
-        ladder_weight.cache_clear()
-        oscillator._weight_image.cache_clear()
+        cold_caches()
         products.clear()
         assert oracle_consistency(ORACLE_WORDS[text], prof, (-8, 8)) == (True, None)
         counts[text, prof] = len(products)
