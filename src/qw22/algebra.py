@@ -36,6 +36,8 @@ INDEX_CAP = 1 << 20
 class DeformationProfile(Enum):
     STANDARD = "standard-q"
     GENERALIZED = "generalized-two-param"
+    # Memo keys, compared by identity: the id hash spares Enum's Python one.
+    __hash__ = object.__hash__
 
     @property
     def nvars(self) -> int:
@@ -567,9 +569,12 @@ def _insert_l(tail, letter, profile, bits) -> dict:
 
     L[b] crosses the W-block without changing it.  The leftmost reduction
     first inserts L[b] into the L-block, then appends the W letters back in
-    order: each W[a] adds its gap and the fused term of W[a] L[b],
-    W[a+b] placed after the tail's letters before W[a].  Terms come out in
-    the order of the one-letter-at-a-time recursion.
+    order, each W[a] with its swap and the fused term of W[a] L[b]: W[a+b]
+    placed after the tail's letters before W[a].  The tails `_insert`
+    returns hold only L letters, so the ascending block appends to them
+    whole, with gap 0 and one summed swap; only a fused term places the
+    later W letters one at a time.  Terms come out in the order of the
+    one-letter-at-a-time recursion.
     """
     j = len(tail)
     while j and tail[j - 1][0] == "W":
@@ -579,33 +584,44 @@ def _insert_l(tail, letter, profile, bits) -> dict:
     # Build the crossed pairs' relations in the recursion's order, last W
     # first, so an index beyond the cap is reported for the same pair.
     fuses = [_fuse_image(w, letter, profile, bits) for w in reversed(tail[j:])][::-1]
-    gap, b = 2 if profile is STANDARD else -1, letter[1]
-    state = _insert(tail[:j], letter, profile, bits)
-    for i, (w, fuse) in enumerate(zip(tail[j:], fuses), j):
-        out: dict = {}
-        for u, (n, e, l) in state.items():
-            u, d = _place_w(u, w)
-            out[u] = n, e + gap * (d + b - w[1]), l  # with the swap of W[a] L[b]
+    gap, b, block = 2 if profile is STANDARD else -1, letter[1], tail[j:]
+    swap = gap * sum([b - a for _, a in block])
+    state = {u + block: (n, e + swap, l)
+             for u, (n, e, l) in _insert(tail[:j], letter, profile, bits).items()}
+    for i, fuse in enumerate(fuses, j):
         if fuse is not None:
             n, e, l, fused = fuse
             u, d = _place_w(tail[:i], fused)
-            _add_image(out, u, n, e + gap * d, l, bits)
-        state = out
+            e += gap * d
+            for w in tail[i + 1:]:
+                u, d = _place_w(u, w)
+                e += gap * (d + b - w[1])
+            # A tail met again at this step is met again at every later one,
+            # with the same swaps: merging at the end keeps the recursion's
+            # images and order.
+            _add_image(state, u, n, e, l, bits)
     return state
 
 
 def _fold(state: dict, letters, profile, bits) -> dict:
     """Insert letters, left to right, into every tail of the image state
-    {(T-power, normal tail, (kappa, bucket)): (n, e, l)}."""
+    {(T-power, normal tail, (kappa, bucket)): (n, e, l)}.  A letter in order
+    after a tail's last letter appends with its image unchanged."""
     gap = 2 if profile is STANDARD else -1  # a swap gap d has the image X^(gap d)
     for letter in letters:
         out: dict = {}
         if letter[0] == "W":
             for (t, tail, k), (n, e, l) in state.items():
-                tail, d = _place_w(tail, letter)
-                out[t, tail, k] = n, e + gap * d, l
+                if not tail or _in_order(tail[-1], letter):
+                    out[t, tail + (letter,), k] = n, e, l
+                else:
+                    tail, d = _place_w(tail, letter)
+                    out[t, tail, k] = n, e + gap * d, l
         else:
             for (t, tail, k), (n, e, l) in state.items():
+                if not tail or _in_order(tail[-1], letter):
+                    _add_image(out, (t, tail + (letter,), k), n, e, l, bits)
+                    continue
                 for w, (m, f, h) in _insert_l(tail, letter, profile, bits).items():
                     _add_image(out, (t, w, k), n * m, e + f, l * h, bits)
         state = out

@@ -139,6 +139,8 @@ def tensor_multiply(*tensors: TensorElement) -> TensorElement:
     if not tensors:
         return TensorElement.unit()
     terms = [t._terms for t in tensors]
+    if any(len(key) != 2 for t in terms for key in t):
+        raise ValueError("tensor_multiply takes two-slot tensors")
     pair = lambda w1, w2: (tuple.__new__(NormalWord, w1), tuple.__new__(NormalWord, w2))
     try:
         return TensorElement._raw(STANDARD, _exact(_tensor_state, (terms,), STANDARD, word=pair))

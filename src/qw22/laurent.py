@@ -21,16 +21,21 @@ A product takes one of three paths, all in Python integers:
 
 The images are values at q -> X (one variable) or q -> 1, p -> X on one
 total degree (two), X = 2^bits, with lanes as wide as the coefficients
-need, so huge coefficients stay packed.  The rewriter's fold in `algebra`
-carries the same images through its rewrite steps and decodes its output
-terms through the memo `from_image`; the oscillator's comparator reads
-its scalars and ladder weights on them too.
+need, so huge coefficients stay packed.  An image decodes to its signed
+base-X digits (`_signed_digits`): 64-bit lanes are cast to C int64s with
+the empty ones dropped in C, other widths are read lane by lane in halves
+that skip empty stretches.  The rewriter's fold in `algebra` carries the
+same images through its rewrite steps, at 64-bit lanes, and decodes its
+output terms through the memo `from_image`; the oscillator's comparator
+reads its scalars and ladder weights on them too.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .errors import (
     ArithmeticBoundError,
@@ -118,10 +123,21 @@ def _signed_digits(n: int, bits: int) -> list:
     """n's nonzero signed base-2^bits digits as (lane, digit), from |n|.
     v = (|n| + H) ^ H, H = 2^(bits - 1) in each of n's lanes and the one
     above, holds each digit mod 2^bits in its lane: no borrow crosses a
-    lane, so `_read_lanes` can halve v and skip halves that are 0."""
+    lane.  At 64 bits, the fold's lanes, v's bytes are cast to C int64s
+    and `compress` drops the empty lanes in C; other widths go to
+    `_read_lanes`, which halves v and skips halves that are 0.  A negative
+    n has the digits of |n| negated."""
     negative = n < 0
     if negative:
         n = -n
+    if bits == 64:
+        size = n.bit_length() // 64 + 2
+        h = int.from_bytes((b"\0" * 7 + b"\x80") * size, "little")
+        lanes = memoryview(((n + h) ^ h).to_bytes(8 * size, sys.byteorder)).cast("q")
+        if sys.byteorder == "big":  # lane 0 came last
+            lanes = lanes[::-1]
+        digits = compress(enumerate(lanes), lanes)
+        return [(i, -c) for i, c in digits] if negative else list(digits)
     h = 1 << (bits - 1)
     while h.bit_length() < n.bit_length() + bits:
         h |= h << h.bit_length()

@@ -65,6 +65,21 @@ def gen_word(el):
 # -- symbols and words -----------------------------------------------------
 
 
+def test_deformation_profiles_hash_by_identity(cold_caches):
+    """The identity hash keeps equality, nvars, pickling and memo keys: a
+    profile read back from its value or a pickle hits the same entry."""
+    for profile, nvars in ((S, 1), (G, 2)):
+        copies = (DeformationProfile(profile.value), pickle.loads(pickle.dumps(profile)))
+        assert all(c is profile for c in copies)
+        assert profile.nvars == nvars
+    assert S != G and len({S, G, *map(DeformationProfile, ("standard-q", "generalized-two-param"))}) == 2
+    cold_caches()
+    for profile in (S, G, pickle.loads(pickle.dumps(S)), DeformationProfile("generalized-two-param")):
+        algebra._fuse_image(("L", 2), ("L", 1), profile, 64)
+    info = algebra._fuse_image.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
 def test_generator_symbols():
     assert L(3) == GeneratorSymbol("L", 3)
     assert W(-2) == GeneratorSymbol("W", -2)
@@ -420,6 +435,53 @@ def test_generalized_relation_factors_are_homogeneous():
         assert fuse is None or {eq + ep for eq, ep in fuse._terms} == {-1}
 
 
+def _letter_by_letter_insert_l(tail, letter, profile, bits) -> dict:
+    """`_insert_l` as it was: after the L insertion, every W letter of the
+    block is placed back one at a time into every tail.  The reference for
+    the carried block."""
+    j = len(tail)
+    while j and tail[j - 1][0] == "W":
+        j -= 1
+    if j == len(tail):
+        return algebra._insert(tail, letter, profile, bits)
+    fuses = [algebra._fuse_image(w, letter, profile, bits) for w in reversed(tail[j:])][::-1]
+    gap, b = 2 if profile is S else -1, letter[1]
+    state = algebra._insert(tail[:j], letter, profile, bits)
+    for i, (w, fuse) in enumerate(zip(tail[j:], fuses), j):
+        out = {}
+        for u, (n, e, l) in state.items():
+            u, d = algebra._place_w(u, w)
+            out[u] = n, e + gap * (d + b - w[1]), l
+        if fuse is not None:
+            n, e, l, fused = fuse
+            u, d = algebra._place_w(tail[:i], fused)
+            laurent._add_image(out, u, n, e + gap * d, l, bits)
+        state = out
+    return state
+
+
+def test_carried_w_block_matches_the_letter_by_letter_loop():
+    """Every normal tail of up to four letters L[n], W[n], |n| <= 2, times
+    every L[b], |b| <= 2, in both profiles: the same tails, images and
+    order as placing the W-block back one letter at a time.  Among them
+    are fused terms that cancel a tail of the block carried whole."""
+    letters = [("L", n) for n in range(-2, 3)] + [("W", n) for n in range(-2, 3)]
+    tails = [
+        t for size in range(5) for t in itertools.product(letters, repeat=size)
+        if all(algebra._in_order(a, b) for a, b in zip(t, t[1:]))
+    ]
+    cancelled = 0
+    for profile in (S, G):
+        for tail in tails:
+            for b in range(-2, 3):
+                want = _letter_by_letter_insert_l(tail, ("L", b), profile, 64)
+                got = algebra._insert_l(tail, ("L", b), profile, 64)
+                assert list(got.items()) == list(want.items()), (tail, b, profile)
+                j = sum(kind == "L" for kind, _ in tail)
+                cancelled += len(want) < len(algebra._insert(tail[:j], ("L", b), profile, 64))
+    assert cancelled
+
+
 def _folds_at(monkeypatch) -> list:
     """A list that gains the lane width of every fold from here on."""
     widths = []
@@ -568,23 +630,26 @@ def test_t_crossings_at_the_edge_of_the_exponent_window():
 
 
 def _count_work(monkeypatch) -> tuple:
-    """Lists that gain one entry per nontrivial insertion and Laurent
-    product from here on."""
-    insertions, products = [], []
-    real_steps, real_mul = algebra._insert_steps, laurent._mul_terms
-    monkeypatch.setattr(
-        algebra, "_insert_steps", lambda *a: insertions.append(1) or real_steps(*a)
-    )
-    monkeypatch.setattr(laurent, "_mul_terms", lambda *a: products.append(1) or real_mul(*a))
-    return insertions, products
+    """Lists that gain one entry per nontrivial insertion, Laurent product,
+    `_place_w` call and decode of an image (`laurent._from_image`) from
+    here on."""
+    work = [], [], [], []
+    counted = [(algebra, "_insert_steps"), (laurent, "_mul_terms"), (algebra, "_place_w"),
+               (laurent, "_from_image")]
+    for (module, name), counts in zip(counted, work):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, c=counts: c.append(1) or real(*a))
+    return work
 
 
 # Work of (xy)z and x(yz) on the heaviest triple of an associator benchmark
 # round, every cache cold: nontrivial insertions of an L letter into an
-# L-only tail, and Laurent products.  The fold carries
-# integer images, so its only products build the relation factors.
+# L-only tail, Laurent products, W placements and decodes.  The fold carries
+# integer images, so its only products build the relation factors; a letter
+# in order appends and a W-block crosses an L letter whole, so placements
+# are left to letters out of order and fused terms.
 ASSOC_TRIPLE = ((L(2), W(-1), L(0)), (W(3), L(-3), L(4)), (L(-1), L(-4), W(-5)))
-ASSOC_WORK_CEILINGS = {"(xy)z": (85, 39), "x(yz)": (70, 59)}
+ASSOC_WORK_CEILINGS = {"(xy)z": (85, 39, 670, 357), "x(yz)": (70, 59, 870, 365)}
 
 
 def test_associator_work_counts(monkeypatch, cold_caches):
@@ -615,7 +680,7 @@ def test_products_of_normal_forms_make_no_laurent_arithmetic(monkeypatch):
     pairs = [(x, y), (y, z), (multiply(x, y), z), (gx, gy), (gy, gx)]
     for a, b in pairs:
         multiply(a, b)
-    insertions, products = _count_work(monkeypatch)
+    products = _count_work(monkeypatch)[1]
     for a, b in pairs:
         multiply(a, b)
     assert not products

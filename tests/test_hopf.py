@@ -181,6 +181,16 @@ def test_coproduct_of_a_square():
     )
 
 
+def test_tensor_multiply_takes_two_slot_tensors(monkeypatch):
+    """A three-slot factor is refused before any product is built, as flip
+    refuses one."""
+    t = TensorElement({(NormalWord(),) * 3: LaurentPoly.one()})
+    monkeypatch.setattr(hopf, "_tensor_state", lambda *a: pytest.fail("a product was built"))
+    for call in (lambda: t * t, lambda: tensor_multiply(t, TensorElement.unit()), lambda: tensor_multiply(t)):
+        with pytest.raises(ValueError, match="tensor_multiply takes two-slot tensors"):
+            call()
+
+
 def _reference_tensor_multiply(u, v):
     """The per-pair algorithm: each pair's slot products decoded, then their
     coefficients multiplied as polynomials and summed per tensor key."""

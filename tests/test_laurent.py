@@ -584,6 +584,33 @@ def test_long_sparse_reads_skip_empty_lanes():
         assert lines < 1000, (bits, lines)
 
 
+def test_64_bit_lanes_at_their_edges():
+    """The fold's width, read as C int64s: digits at 2^63 - 1 and -2^63 (and
+    their negations, the range of a negative n being (-2^63, 2^63]), carries
+    into the extra top lane, -2^(64k), and long sparse reads of either sign."""
+    top, far = 1 << 63, 1 << (64 * 5000)
+    edges = {
+        top - 1: [(0, top - 1)],
+        top: [(0, -top), (1, 1)],
+        (1 << 64) - 1: [(0, -1), (1, 1)],
+        (1 << 192) - 1: [(0, -1), (3, 1)],
+        top << 128: [(2, -top), (3, 1)],
+        (top - 1) - (top << 64) + (1 << 128): [(0, top - 1), (1, -top), (2, 1)],
+    }
+    for n, digits in edges.items():
+        assert laurent._signed_digits(n, 64) == digits
+        assert laurent._signed_digits(-n, 64) == [(i, -c) for i, c in digits]
+    for k in range(6):
+        assert laurent._signed_digits(-(1 << 64 * k), 64) == [(k, -1)]
+    for n in [*edges, -(1 << 320), 3 - far, top + (top - 1) * far]:
+        for m in (n, -n):
+            assert laurent._signed_digits(m, 64) == lane_by_lane_digits(m, 64)
+    for n in (3 - far, far - 3, top * (1 + far), -top * (1 + far)):
+        digits, lines = lines_run(lambda: laurent._signed_digits(n, 64))
+        assert [i for i, _ in digits] in ([0, 5000], [0, 1, 5000, 5001]), digits
+        assert lines < 1000, (n.bit_length(), lines)
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     st.dictionaries(
