@@ -10,7 +10,6 @@ _MEMOS = (
     laurent.from_image,
     algebra._fuse_image,
     oscillator.ladder_weight,
-    oscillator._weight_image,
     hopf._factor_coproduct,
     hopf._factor_antipode,
     hopf._word_coproduct,

@@ -2,7 +2,10 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -615,6 +618,135 @@ def test_oracle_matches_the_polynomial_comparison(monkeypatch):
     assert caught > 200, caught
 
 
+def record_generic_reads(monkeypatch) -> list:
+    """A list that gains, per comparator call from here on, whether some
+    group read nonzero at the generic grade (so the grade loop compared)."""
+    reads = []
+    compare, read = oscillator._compare, oscillator._generic_read
+
+    def counted_compare(*args):
+        reads.append(False)
+        return compare(*args)
+
+    def counted_read(*args):
+        out = read(*args)
+        reads[-1] = reads[-1] or out != 0
+        return out
+
+    monkeypatch.setattr(oscillator, "_compare", counted_compare)
+    monkeypatch.setattr(oscillator, "_generic_read", counted_read)
+    return reads
+
+
+def test_a_corruption_the_window_cannot_see(monkeypatch):
+    """A stray term L[-3] L[-2] L[1] meets grade 0 at its first, second or
+    third op from every |k, 0> with -1 <= k <= 1, so it acts as zero on
+    that window, though not as a polynomial in z = c^k.  Its nonzero
+    generic read falls back to the grade loop, which finds no mismatch; one
+    grade further on it shows."""
+    stray = NormalWord(l_block=((-3, 1), (-2, 1), (1, 1)))
+    corrupt_normal_forms(
+        monkeypatch, lambda terms, profile: terms.update({stray: LaurentPoly.one(profile.nvars)})
+    )
+    reads = record_generic_reads(monkeypatch)
+    word = (L(2), L(1))
+    for prof in (C, Q, P2):
+        reads.clear()
+        assert reference_oracle(word, prof, (-1, 1)) == (True, None)
+        assert oracle_consistency(word, prof, (-1, 1)) == (True, None)
+        assert reads == [True]
+        expected = reference_oracle(word, prof, (-1, 2))
+        assert expected[0] is False and "|2,0>" in expected[1]
+        assert oracle_consistency(word, prof, (-1, 2)) == expected
+
+
+def test_the_generic_read_decides_as_the_reference(monkeypatch, cold_caches):
+    """Seeded differential test of the generic decision: on corrupted normal
+    forms and on relation ids under a corrupted relation table, in all three
+    profiles, every call gives the reference's verdict and witness.  A call
+    whose groups all read 0 must vanish at every grade, so the reference
+    holds on a wider window too; a False verdict always read nonzero."""
+    rng = random.Random(2025)
+    syms = [L(n) for n in range(-4, 5)] + [W(n) for n in range(-4, 5)]
+    box = corrupt_with(monkeypatch)
+    reads = record_generic_reads(monkeypatch)
+    edits = {
+        "q": lambda nv: LaurentPoly.q_power(1, nv),
+        "-1": lambda nv: LaurentPoly.constant(-1, nv),
+        "1+q": lambda nv: 1 + LaurentPoly.q_power(1, nv),
+        "1/q": lambda nv: LaurentPoly.q_power(-1, nv),
+        "p": lambda nv: LaurentPoly.monomial(1, 0, 1, 2),
+    }
+    counts = {True: 0, False: 0}
+    for prof in (C, Q, P2):
+        kinds = [None, "q", "-1", "1+q", "1/q"] + (["p"] if prof is P2 else [])
+        for _ in range(50):
+            word = tuple(rng.choice(syms) for _ in range(rng.randint(0, 4)))
+            lo = rng.randint(-5, 3)
+            window = (lo, lo + rng.randint(0, 4))
+            kind, pick = rng.choice(kinds), rng.randrange(8)
+
+            def edit(terms, profile, kind=kind, pick=pick):
+                if terms:
+                    nw = list(terms)[pick % len(terms)]
+                    terms[nw] = terms[nw] * edits[kind](profile.nvars)
+
+            box[0] = kind and edit
+            reads.clear()
+            expected = reference_oracle(word, prof, window)
+            assert oracle_consistency(word, prof, window) == expected, (word, prof, window, kind)
+            if not reads[0]:
+                assert reference_oracle(word, prof, (-8, 8)) == (True, None), (word, prof, kind)
+            assert expected[0] or reads[0]
+            counts[expected[0]] += 1
+    box[0] = None
+    rule = algebra._pair_rule
+    variants = [
+        lambda swap, fuse, fused: (swap, None if fuse is None else -fuse, fused),
+        lambda swap, fuse, fused: (swap * LaurentPoly.q_power(1, swap.nvars), fuse, fused),
+        lambda swap, fuse, fused: (swap, None, None),
+    ]
+    for _ in range(60):
+        name, prof = rng.choice((("LE", C), ("qLE", Q), ("gq", P2)))
+        rel = (name, rng.randint(-3, 3), rng.randint(-3, 3))
+        lo = rng.randint(-4, 2)
+        window = (lo, lo + rng.randint(0, 4))
+        variant = rng.choice([None] + variants)
+        cold_caches()
+        if variant:
+            monkeypatch.setattr(algebra, "_pair_rule", lambda *a, v=variant: v(*rule(*a)))
+        reads.clear()
+        expected = reference_relation(rel, prof, window)
+        assert check_relation(rel, prof, window) == expected, (rel, window)
+        if not reads[0]:
+            assert reference_relation(rel, prof, (-8, 8)) == (True, None), rel
+        assert expected[0] or reads[0]
+        counts[expected[0]] += 1
+        monkeypatch.setattr(algebra, "_pair_rule", rule)
+    cold_caches()
+    assert counts[True] > 50 and counts[False] > 50, counts
+
+
+def test_a_true_verdict_at_the_grade_cap_returns_at_once():
+    """At the grade cap lambda_g has 2^20 terms; a True verdict reads the
+    window at the generic grade and builds none.  Run in a child process
+    with a time and address-space limit, so that a regression fails here
+    instead of stalling the suite."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from qw22 import L, W, oracle_consistency\n"
+        "from qw22.oscillator import Q_DEFORMED\n"
+        "print(oracle_consistency((W(2), L(1)), Q_DEFORMED, (2**20 - 8, 2**20 - 4)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert (done.returncode, done.stdout) == (0, "(True, None)\n"), done.stderr
+
+
 def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
     """The first (k, eps) of the window to leave the cap raises, the raw word
     before the normal form and the normal form's terms in their order.  The
@@ -699,15 +831,15 @@ def test_occupied_labels_follow_the_empty_ones():
 
 
 # Laurent products of one oracle_consistency call over grades -8..8, with
-# every cache cold: the normal form and one ladder weight per grade met (the
-# classical profile builds no weight: lambda_g is g at q = 1).
+# every cache cold: the normal form's alone, since a True verdict is read at
+# the generic grade and builds no ladder weight.
 ORACLE_PRODUCT_CEILINGS = {
     ("L[3] L[4] L[2] L[0] L[-5]", C): 23,
-    ("L[3] L[4] L[2] L[0] L[-5]", Q): 52,
-    ("L[3] L[4] L[2] L[0] L[-5]", P2): 52,
+    ("L[3] L[4] L[2] L[0] L[-5]", Q): 23,
+    ("L[3] L[4] L[2] L[0] L[-5]", P2): 23,
     ("W[2] L[-3] L[5] L[1]", C): 8,
-    ("W[2] L[-3] L[5] L[1]", Q): 32,
-    ("W[2] L[-3] L[5] L[1]", P2): 32,
+    ("W[2] L[-3] L[5] L[1]", Q): 8,
+    ("W[2] L[-3] L[5] L[1]", P2): 8,
 }
 ORACLE_WORDS = {
     "L[3] L[4] L[2] L[0] L[-5]": (L(3), L(4), L(2), L(0), L(-5)),
@@ -737,39 +869,78 @@ def test_oracle_product_counts(monkeypatch, cold_caches):
 
 
 def count_weights(monkeypatch) -> list:
-    """A list that gains one entry per ladder weight the comparator packs
-    from here on: `_weight_image` builds each one it has not cached."""
+    """A list that gains one entry per ladder weight the comparator asks
+    for from here on."""
     built = []
     real = oscillator.ladder_weight
     monkeypatch.setattr(oscillator, "ladder_weight", lambda *a: built.append(a) or real(*a))
     return built
 
 
-def test_weight_images_are_packed_once_per_process(monkeypatch):
-    """A ladder weight's image depends on the profile, its grade and the
-    lane width only, so a second call on the same word and window packs no
-    weight: every lambda_g it needs is in `_weight_image`'s cache."""
-    built = count_weights(monkeypatch)
+def positions_only(monkeypatch):
+    """Make a mismatch return its (k, eps, i) instead of a witness, whose
+    module vectors would build ladder weights of their own."""
+    real = oscillator._compare
+    monkeypatch.setattr(
+        oscillator,
+        "_compare",
+        lambda prof, diffs, lo, hi, occ, witness: real(prof, diffs, lo, hi, occ, lambda *at: at),
+    )
+
+
+def test_a_true_verdict_builds_no_ladder_weight(monkeypatch, cold_caches):
+    """Every group of a True verdict reads 0 at the generic grade, where
+    each weight is a shift: the grade loop, the only place the comparator
+    builds lambda_g, does not run."""
+    cold_caches()
+    monkeypatch.setattr(oscillator, "ladder_weight", lambda *args: pytest.fail("built a weight"))
+    rng = random.Random(5)
+    syms = [L(n) for n in range(-5, 6)] + [W(n) for n in range(-5, 6)]
+    words = list(ORACLE_WORDS.values()) + [
+        tuple(rng.choice(syms) for _ in range(rng.randint(0, 5))) for _ in range(40)
+    ]
+    for prof in (C, Q, P2):
+        for word in words:
+            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            for rel, prof in ((("LE", m, n), C), (("qLE", m, n), Q), (("gq", m, n), P2)):
+                assert check_relation(rel, prof, (-8, 8)) == (True, None)
+
+
+def test_ladder_weights_are_built_once_per_process(monkeypatch, cold_caches):
+    """A False verdict runs the grade loop, which takes each lambda_g from
+    `ladder_weight`'s memo: a second call on the same word, corruption and
+    window builds no weight."""
+    positions_only(monkeypatch)
+    corrupt_normal_forms(monkeypatch, times_q_squared)
     for word in ORACLE_WORDS.values():
         for prof in (Q, P2):
-            oscillator._weight_image.cache_clear()
-            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
-            assert built
-            built.clear()
-            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
-            assert not built
+            cold_caches()
+            first = oracle_consistency(word, prof, (-8, 8))
+            assert first[0] is False
+            misses = oscillator.ladder_weight.cache_info().misses
+            assert misses
+            assert oracle_consistency(word, prof, (-8, 8)) == first
+            assert oscillator.ladder_weight.cache_info().misses == misses
 
 
 def test_a_word_in_normal_order_cancels_before_the_grade_loop(monkeypatch):
-    """Terms that take the same weights are summed once, before the k loop:
-    a word that is its own normal form packs no weight at all."""
+    """Terms that take the same weights are summed once, in planning: a
+    word that is its own normal form, with a stray weightless term added,
+    fails at the first grade and asks for no weight, since the word's terms
+    cancelled before the grade loop.  A word out of order asks for the
+    weights of its group before it reaches the stray term's."""
     built = count_weights(monkeypatch)
-    oscillator._weight_image.cache_clear()
+    positions_only(monkeypatch)
+    corrupt_normal_forms(
+        monkeypatch, lambda terms, profile: terms.update({NormalWord(): LaurentPoly.one(profile.nvars)})
+    )
     for word in ((L(-1), L(2)), (L(3), W(-2), W(1)), (W(4),)):
         for prof in (Q, P2):
-            assert oracle_consistency(word, prof, (-8, 8)) == (True, None)
+            assert oracle_consistency(word, prof, (-8, 8)) == (False, (-8, 0, 0))
     assert not built
-    assert oracle_consistency((L(2), L(-1)), Q, (-8, 8)) == (True, None)
+    assert oracle_consistency((L(2), L(-1)), Q, (-8, 8)) == (False, (-8, 0, 0))
     assert built
 
 
