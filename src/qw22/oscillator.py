@@ -82,11 +82,11 @@ def _check_grade(k: int) -> int:
     return k
 
 
-# The module actions (`_act`) and the comparator's grade loop, which runs
-# only where a group reads nonzero, take their weights here.  The timed calls
-# of a cold `oracle` round and the `qw22 check` oscillator suites meet no
-# key; the round's output check (`apply_element` on 8 labels per word) hits
-# 8,422 / 68 misses.
+# The module actions (`_act`) take their weights here, the comparator's
+# window scan among them, which runs only where a group reads nonzero.  The
+# timed calls of a cold `oracle` round and the `qw22 check` oscillator
+# suites meet no key; the round's output check (`apply_element` on 8 labels
+# per word) hits 8,422 / 68 misses.
 @lru_cache(maxsize=8192)
 def ladder_weight(profile: OscillatorProfile, k: int) -> LaurentPoly:
     """The weight lambda_k picked up when the lowering operator acts on
@@ -164,16 +164,16 @@ def _follow(ops, terms: dict) -> list:
 
 
 def _act(side, v: ModuleVector) -> ModuleVector:
-    """Act on v with a side: (scalar, ops) terms, ops in acting order.  The
-    weights of a path are built only once it has passed every grade check:
-    at the grade cap lambda_k has 2^20 terms."""
+    """Act on v with a side: (scalar, ops) terms, ops in acting order.  Every
+    path passes its grade checks before any weight is built: at the grade
+    cap lambda_k has 2^20 terms."""
     profile = v.profile
     out: dict = {}
-    for scalar, ops in side:
-        for k, eps, c, grades in _follow(ops, v._terms):
-            for g in grades:
-                c = c * ladder_weight(profile, g)
-            _add_term(out, FockLabel(k, eps), c * scalar)
+    paths = [(scalar, path) for scalar, ops in side for path in _follow(ops, v._terms)]
+    for scalar, (k, eps, c, grades) in paths:
+        for g in grades:
+            c = c * ladder_weight(profile, g)
+        _add_term(out, FockLabel(k, eps), c * scalar)
     return ModuleVector._raw(profile, out)
 
 
@@ -220,24 +220,6 @@ def apply_element(x: Element, v: ModuleVector) -> ModuleVector:
 # -- the module comparator --------------------------------------------------
 
 
-def _image_bounds(terms, lo: int, hi: int) -> int:
-    """The lane width B of an image injective on each difference of `terms`,
-    (scalar, ops) pairs, that the call compares.  At a grade: lambda_g has
-    l1 norm |g|, and a term's path meets grades of size at most G, the
-    window's largest plus its ops' |n| (and at most GRADE_CAP), at its m
-    weighted ops, so a difference has l1 norm at most sum_t |c_t|_1 G_t^m_t.
-    At the generic grade (`_generic_read`): each of at most M factors
-    (q - r) lambda or (q - r) has l1 norm 2, so at most 2^M sum_t |c_t|_1."""
-    size, total, most = 0, 0, 0
-    for c, ops in terms:
-        g = min(max(abs(lo), abs(hi)) + sum(abs(n) for _, n in ops), GRADE_CAP)
-        m = sum(_OPS[kind][0] for kind, _ in ops)
-        l1 = sum(map(abs, c._terms.values()))
-        size += l1 * g**m
-        total, most = total + l1, max(most, m)
-    return max(size, total << most).bit_length() + 1
-
-
 def _generic_read(profile: OscillatorProfile, group: dict, bits: int) -> int:
     """A group's difference at a generic grade: 0 exactly when it vanishes
     at every grade k.  `group` maps a term's weight offsets s to its image
@@ -250,7 +232,7 @@ def _generic_read(profile: OscillatorProfile, group: dict, bits: int) -> int:
     at z -> X^R, c^s -> X^(2s) or X^-s (and q - r -> X^-1 (X^2 - 1) or
     1 - X), each factor is a shift and a subtraction.  R exceeds the lanes
     a z-power's coefficient spans, so the blocks of the z-powers do not
-    overlap, and B bounds 2^M sum |c|_1 (`_image_bounds`), so no lane
+    overlap, and B bounds 2^M sum |c|_1 (`_compare`), so no lane
     overflows: the read is 0 exactly when P is.  lambda_0 = 0 is the factor
     c^(k+s) - 1 at k = -s.  The classical profile evaluates
     prod_s (K + s), K = 2^R, in integers, with |P|'s coefficients below
@@ -303,40 +285,37 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
     does not depend on k), and otherwise ends at (k + s_m, eps').  Terms that
     share an end label share it at every k.  Values are the exact integer
     images n X^e, X = 2^B, of `_pieces` (lambda_g has total degree -1 with
-    two variables).  Terms are grouped by end label and total degree, where
-    the image is injective on the group's sum (`_image_bounds`), so the
-    verdicts are those of the polynomial comparison; terms of a group that
-    take the same weights are summed once, in planning.  The classical
-    profile evaluates at q = 1 instead, where lambda_g = g.
+    two variables).  Terms are grouped by end label and total degree, and
+    terms of a group that take the same weights are summed once, in
+    planning.  The classical profile evaluates at q = 1 instead, where
+    lambda_g = g.
 
     The verdict is decided once for the whole window: each group is read at
     a generic grade (`_generic_read`), which is 0 exactly when the group's
-    sum vanishes at every grade, since the blocks of its powers of z = c^k
-    do not overlap and B bounds its lanes.  If every group reads 0, only the
-    grade checks of the vector path (`_act`) run, in their order: k, then
-    each term's grades up to its death, term by term.  Otherwise the grade
-    loop runs those checks and compares every group at each k, as the one
-    source of witnesses and of the order of errors.  A group can read
-    nonzero and still vanish on every grade of the window (its paths die
-    there), so a nonzero read never returns False by itself.
+    sum vanishes at every grade.  There each of at most M factors, M no more
+    than a term's ops, has l1 norm 2, so B bounds 2^M sum |c|_1.  If every
+    group reads 0, only the grade checks of the vector path (`_act`) run, in
+    their order: k, then each term's grades up to its death, term by term.
+    Otherwise the window is scanned with `_act` itself, which makes those
+    checks and is the one source of witnesses and of the order of errors.  A
+    group can read nonzero and still vanish on every grade of the window
+    (its paths die there), so a nonzero read never returns False by itself.
     """
     if profile is CLASSICAL:
         bits = 1  # every e is 0: X never enters
         image = lambda c: [(0, sum(c._terms.values()), 0, 0)]
-        weight = lambda g: (g, 0)
     else:
-        bits = _image_bounds([t for diff in diffs for t in diff], lo, hi)
+        terms = [t for diff in diffs for t in diff]
+        l1 = sum(sum(map(abs, c._terms.values())) for c, _ in terms)
+        bits = (l1 << max(len(ops) for _, ops in terms)).bit_length() + 1
         image = lambda c: _pieces(c, bits)
-        # lambda_g is one piece: odd q-exponents two lanes apart, or one
-        # total degree (-1) with dense p-lanes.
-        weight = lambda g: _pieces(ladder_weight(profile, g), bits)[0][1:3]
     degree = -1 if profile is TWO_PARAM else 0  # of each weight
     # Plan each (eps, term) in one pass over its ops: its prefix sums, the
     # grades whose weights it takes, its dead set {-s_j: first weighted op j}
     # and the op that finds the wrong occupancy (m if none).  Surviving terms
     # are summed per end label (s_m, eps'), total degree and grades.
     reach = max(abs(lo), abs(hi))
-    plans = []
+    plans, scan = [], False
     for eps0 in occupancies:
         for i, diff in enumerate(diffs):
             near, groups = [], {}
@@ -361,35 +340,26 @@ def _compare(profile: OscillatorProfile, diffs, lo: int, hi: int, occupancies, w
                         _add_image(group, tuple(grades), n, e, l, bits)
                 if reach + max(map(abs, prefix)) > GRADE_CAP:
                     near.append((prefix, dead, kill))
-            plans.append((eps0, i, near, groups.values()))
-    # Only a group that reads nonzero at the generic grade can differ at a
-    # grade of the window.  Without one the loop runs the cap checks alone,
-    # and only if one can fail: the window or a path passes the cap.
-    scan = any(_generic_read(profile, g, bits) for *_, groups in plans for g in groups)
-    if not scan and reach <= GRADE_CAP and not any(near for _, _, near, _ in plans):
+            plans.append((eps0, i, near))
+            # Only a group that reads nonzero can differ at a grade.
+            scan = scan or any(_generic_read(profile, g, bits) for g in groups.values())
+    # Without a nonzero read the loop runs the cap checks alone, and only if
+    # one can fail: the window or a path passes the cap.
+    if not scan and reach <= GRADE_CAP and not any(near for _, _, near in plans):
         return True, None
+    if scan and profile is CLASSICAL:  # the scan acts at q = 1 too
+        at_one = lambda c: LaurentPoly.constant(sum(c._terms.values()))
+        diffs = [[(at_one(c), ops) for c, ops in diff] for diff in diffs]
     for k in range(lo, hi + 1):
         _check_grade(k)
-        for eps, i, near, groups in plans:
-            # A term leaves the cap at its first grade k + s_(j+1) beyond it,
-            # unless its path died at op j or before.
-            for prefix, dead, kill in near:
+        for eps, i, near in plans:
+            if scan and not _act(diffs[i], basis_vector(profile, k, eps)).is_zero():
+                return False, witness(k, eps, i)
+            # Without the scan, a term leaves the cap at its first grade
+            # k + s_(j+1) beyond it, unless its path died at op j or before.
+            for prefix, dead, kill in () if scan else near:
                 for s in prefix[1:dead.get(k, kill) + 1]:
                     _check_grade(k + s)
-            for group in groups if scan else ():
-                total, f = 0, 0  # the image of the difference, over X^f
-                for grades, (n, e, _) in group.items():
-                    if -k in grades:  # the path dies at grade 0
-                        continue
-                    for s in grades:
-                        wn, we = weight(k + s)
-                        n *= wn
-                        e += we
-                    if e > f:  # a sum aligns to the smaller exponent
-                        n, e, total, f = total, f, n, e
-                    total, f = n + (total << bits * (f - e)), e
-                if total:
-                    return False, witness(k, eps, i)
     return True, None
 
 

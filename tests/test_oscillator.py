@@ -566,8 +566,9 @@ def test_oracle_compares_each_total_degree_apart(monkeypatch):
 
 def test_oracle_image_bounds_stay_within_the_grade_cap(monkeypatch):
     """A window far past the cap raises at its first grade.  The image's
-    bounds are read with grades clamped to the cap, so a coefficient that is
-    not homogeneous does not pack into an image as wide as the window."""
+    lane width depends on the scalars and ops alone, not on the window, so a
+    coefficient that is not homogeneous does not pack into an image as wide
+    as the window."""
     def spread(terms, profile):
         for nw, c in terms.items():
             terms[nw] = c * (1 + LaurentPoly.q_power(1, 2))
@@ -620,7 +621,7 @@ def test_oracle_matches_the_polynomial_comparison(monkeypatch):
 
 def record_generic_reads(monkeypatch) -> list:
     """A list that gains, per comparator call from here on, whether some
-    group read nonzero at the generic grade (so the grade loop compared)."""
+    group read nonzero at the generic grade (so the window scan ran)."""
     reads = []
     compare, read = oscillator._compare, oscillator._generic_read
 
@@ -642,7 +643,7 @@ def test_a_corruption_the_window_cannot_see(monkeypatch):
     """A stray term L[-3] L[-2] L[1] meets grade 0 at its first, second or
     third op from every |k, 0> with -1 <= k <= 1, so it acts as zero on
     that window, though not as a polynomial in z = c^k.  Its nonzero
-    generic read falls back to the grade loop, which finds no mismatch; one
+    generic read falls back to the window scan, which finds no mismatch; one
     grade further on it shows."""
     stray = NormalWord(l_block=((-3, 1), (-2, 1), (1, 1)))
     corrupt_normal_forms(
@@ -774,6 +775,25 @@ def test_oracle_grade_cap_raises_where_the_window_walk_meets_it(monkeypatch):
         with pytest.raises(ArithmeticBoundError, match=f"grade {top + 2} beyond cap"):
             oracle_consistency(word, prof, (top - 3, top))
     monkeypatch.undo()
+    # a stray L[-3] L[-2] L[1] reads nonzero at the generic grade, so the
+    # window scan meets these errors: the raw word's, or the stray's after
+    # the true terms at -top, whose weights near the cap are never built
+    stray = NormalWord(l_block=((-3, 1), (-2, 1), (1, 1)))
+    corrupt_normal_forms(
+        monkeypatch, lambda terms, profile: terms.update({stray: LaurentPoly.one(profile.nvars)})
+    )
+    reads = record_generic_reads(monkeypatch)
+    cases = [
+        ((L(2), L(1)), (top - 1, top), top + 2),
+        ((L(2), L(1)), (-top, -top + 1), -top - 1),
+        ((W(-1), L(3)), (top - 2, top), top + 1),
+    ]
+    for prof in (C, Q, P2):
+        for word, window, grade in cases:
+            with pytest.raises(ArithmeticBoundError, match=rf"^grade {grade} beyond cap {top}$"):
+                oracle_consistency(word, prof, window)
+            assert reads[-1], (word, prof, window)
+    monkeypatch.undo()
     # a window starting past the cap raises at its start grade, before any
     # walk and before any weight is built
     monkeypatch.setattr(oscillator, "ladder_weight", lambda *args: pytest.fail("built a weight"))
@@ -806,6 +826,20 @@ def test_oracle_path_dies_before_it_leaves_the_cap(monkeypatch):
             for window in ((k + 1, k + 1), (k, k + 1)):
                 with pytest.raises(ArithmeticBoundError, match=rf"^grade {leaves} beyond cap {top}$"):
                     oracle_consistency(word, prof, window)
+
+
+def test_apply_element_checks_every_path_before_it_builds_a_weight(monkeypatch):
+    """The second term leaves the cap from |-top, 0>: it raises before the
+    first term, which stays inside, builds lambda_(-top) with 2^20 terms."""
+    top = GRADE_CAP
+    monkeypatch.setattr(oscillator, "ladder_weight", lambda *args: pytest.fail("built a weight"))
+    one = LaurentPoly.one()
+    x = Element(DeformationProfile.STANDARD, {
+        NormalWord(l_block=((1, 1), (2, 1))): one,
+        NormalWord(l_block=((-3, 1), (-2, 1), (1, 1))): one,
+    })
+    with pytest.raises(ArithmeticBoundError, match=rf"^grade {-top - 1} beyond cap {top}$"):
+        apply_element(x, basis_vector(Q, -top, 0))
 
 
 def test_occupied_labels_follow_the_empty_ones():
@@ -890,8 +924,8 @@ def positions_only(monkeypatch):
 
 def test_a_true_verdict_builds_no_ladder_weight(monkeypatch, cold_caches):
     """Every group of a True verdict reads 0 at the generic grade, where
-    each weight is a shift: the grade loop, the only place the comparator
-    builds lambda_g, does not run."""
+    each weight is a shift: the window scan, the only place the comparator
+    builds lambda_g (through `_act`), does not run."""
     cold_caches()
     monkeypatch.setattr(oscillator, "ladder_weight", lambda *args: pytest.fail("built a weight"))
     rng = random.Random(5)
@@ -909,9 +943,9 @@ def test_a_true_verdict_builds_no_ladder_weight(monkeypatch, cold_caches):
 
 
 def test_ladder_weights_are_built_once_per_process(monkeypatch, cold_caches):
-    """A False verdict runs the grade loop, which takes each lambda_g from
-    `ladder_weight`'s memo: a second call on the same word, corruption and
-    window builds no weight."""
+    """A False verdict runs the window scan, whose `_act` takes each
+    lambda_g from `ladder_weight`'s memo: a second call on the same word,
+    corruption and window builds no weight."""
     positions_only(monkeypatch)
     corrupt_normal_forms(monkeypatch, times_q_squared)
     for word in ORACLE_WORDS.values():
@@ -925,23 +959,29 @@ def test_ladder_weights_are_built_once_per_process(monkeypatch, cold_caches):
             assert oscillator.ladder_weight.cache_info().misses == misses
 
 
-def test_a_word_in_normal_order_cancels_before_the_grade_loop(monkeypatch):
-    """Terms that take the same weights are summed once, in planning: a
-    word that is its own normal form, with a stray weightless term added,
-    fails at the first grade and asks for no weight, since the word's terms
-    cancelled before the grade loop.  A word out of order asks for the
-    weights of its group before it reaches the stray term's."""
+def test_a_false_verdict_asks_only_for_the_weights_of_its_grade(monkeypatch):
+    """A True verdict builds no weight; a False one builds only what the
+    window scan needs at the grade it fails on.  Each word, its normal form
+    and a stray weightless term added fail at |-8, 0>, and only the weights
+    of the grades -8 + s_j that their surviving paths meet there are asked
+    for.  A path that dies there (at a second W) asks for none."""
     built = count_weights(monkeypatch)
     positions_only(monkeypatch)
     corrupt_normal_forms(
         monkeypatch, lambda terms, profile: terms.update({NormalWord(): LaurentPoly.one(profile.nvars)})
     )
-    for word in ((L(-1), L(2)), (L(3), W(-2), W(1)), (W(4),)):
+    cases = [
+        ((L(-1), L(2)), {-8, -6}),  # its own normal form: L[2] at -8, L[-1] at -6
+        ((L(3), W(-2), W(1)), set()),
+        ((W(4),), {-8}),
+        # the raw word meets -8 and -9, L[-1] L[2] -8 and -6, the fused L[1] -8
+        ((L(2), L(-1)), {-8, -9, -6}),
+    ]
+    for word, grades in cases:
         for prof in (Q, P2):
+            built.clear()
             assert oracle_consistency(word, prof, (-8, 8)) == (False, (-8, 0, 0))
-    assert not built
-    assert oracle_consistency((L(2), L(-1)), Q, (-8, 8)) == (False, (-8, 0, 0))
-    assert built
+            assert set(built) == {(prof, g) for g in grades}, (word, prof)
 
 
 def test_the_oracle_comparison_makes_no_laurent_product(monkeypatch):
