@@ -152,14 +152,13 @@ UNIT_WORD = NormalWord()
 
 
 def _add_term(out: dict, key, c) -> None:
-    """out[key] += c on a sparse {key: coeff} map, dropping zeros."""
-    prev = out.get(key)
-    if prev is not None:
-        c = prev + c
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
+    """out[key] += c on a sparse {key: coeff} map, dropping zeros; a new key is hashed once."""
+    size = len(out)
+    prev = out.setdefault(key, c)
+    if len(out) == size:  # an old key, whose coeff may be c itself
+        c = out[key] = prev + c
+    if not c:
+        del out[key]
 
 
 def _add_scaled(out: dict, terms: dict, factor) -> None:
@@ -642,10 +641,7 @@ def _exact(fold, args, profile, bits: int = _LANE_BITS, state=None, word=None) -
         if word is None and abs(a) > EXPONENT_BOUND:
             raise ArithmeticBoundError("T-power beyond the checked window")
         key = word(a, b) if word else tuple.__new__(NormalWord, (a, b))  # a normal, capped tail
-        size = len(out)
-        out.setdefault(key, c)
-        if len(out) == size:  # the same key at another kappa or bucket
-            _add_term(out, key, c)
+        _add_term(out, key, c)  # a key may recur at another kappa or bucket
     return out
 
 

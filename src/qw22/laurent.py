@@ -27,7 +27,9 @@ the empty ones dropped in C, other widths are read lane by lane in halves
 that skip empty stretches.  The rewriter's fold in `algebra` carries the
 same images through its rewrite steps, at 64-bit lanes, and decodes its
 output terms through the memo `from_image`; the oscillator's comparator
-reads its scalars and ladder weights on them too.
+reads its scalars and ladder weights on them too.  Decodes and shifts in
+one variable take each key (e, 0) from one table, `_keys`: one tuple and
+int per exponent, at most 1024 (a benchmark round meets 109-355).
 """
 
 from __future__ import annotations
@@ -91,6 +93,19 @@ def _pack(lanes, coeffs, bits: int) -> int:
     return runs[0][1] << (bits * runs[0][0])
 
 
+# Shared keys (e, 0), entered checked by `_key`, oldest evicted first; wider
+# decodes and shifts build their own.  A cold round (seed 5, rounds 0-2) meets
+# 257-355 exponents on `assoc`, 115-131 on `oracle`, 109-161 on `cli`; 1024 is 3x that.
+_KEYS_SIZE = 1024
+_keys: dict = {}
+
+
+def _key(e: int) -> tuple:
+    if len(_keys) >= _KEYS_SIZE:
+        del _keys[next(iter(_keys))]
+    return _keys.setdefault(e, (_check_exponent(e), 0))
+
+
 def _accumulate(out: dict, terms, sign: int = 1) -> dict:
     """out += sign * terms, (key, coeff) pairs of nonzero coeffs, dropping zeros."""
     for key, c in terms:
@@ -102,8 +117,11 @@ def _accumulate(out: dict, terms, sign: int = 1) -> dict:
     return out
 
 
-def _shift_terms(terms: dict, eq: int, ep: int, c: int = 1) -> dict:
+def _shift_terms(terms: dict, eq: int, ep: int, c: int, nvars: int) -> dict:
     """terms times the monomial c q^eq p^ep: the keys shift, no term collects."""
+    if nvars == 1 and len(terms) <= _KEYS_SIZE:  # shared keys, checked on entry
+        get = _keys.get
+        return {get(eq + e) or _key(eq + e): c * cb for (e, _), cb in terms.items()}
     out, bound = {(eq + qb, ep + pb): c * cb for (qb, pb), cb in terms.items()}, EXPONENT_BOUND
     for x, y in out:
         if not (-bound <= x <= bound and -bound <= y <= bound):
@@ -119,8 +137,8 @@ def _shift_terms(terms: dict, eq: int, ep: int, c: int = 1) -> dict:
 # and l bounds its l1 norm.
 
 
-def _signed_digits(n: int, bits: int) -> list:
-    """n's nonzero signed base-2^bits digits as (lane, digit), from |n|.
+def _signed_digits(n: int, bits: int, first: int = 0) -> list:
+    """n's nonzero signed base-2^bits digits as (first + lane, digit), from |n|.
     v = (|n| + H) ^ H, H = 2^(bits - 1) in each of n's lanes and the one
     above, holds each digit mod 2^bits in its lane: no borrow crosses a
     lane.  At 64 bits, the fold's lanes, v's bytes are cast to C int64s
@@ -136,13 +154,13 @@ def _signed_digits(n: int, bits: int) -> list:
         lanes = memoryview(((n + h) ^ h).to_bytes(8 * size, sys.byteorder)).cast("q")
         if sys.byteorder == "big":  # lane 0 came last
             lanes = lanes[::-1]
-        digits = compress(enumerate(lanes), lanes)
+        digits = compress(enumerate(lanes, first), lanes)
         return [(i, -c) for i, c in digits] if negative else list(digits)
     h = 1 << (bits - 1)
     while h.bit_length() < n.bit_length() + bits:
         h |= h << h.bit_length()
     out: list = []
-    _read_lanes((n + h) ^ h, bits, 0, -1 if negative else 1, out)
+    _read_lanes((n + h) ^ h, bits, first, -1 if negative else 1, out)
     return out
 
 
@@ -215,21 +233,22 @@ def _from_image(n: int, e: int, bits: int, nvars: int, degree: int) -> dict:
     size."""
     if -(1 << (bits - 1)) < n < 1 << (bits - 1):  # one lane
         if nvars == 1:
-            return {(_check_exponent(e), 0): n}
+            return {_keys.get(e) or _key(e): n}
         return {(_check_exponent(degree - e), _check_exponent(e)): n}
-    digits = _signed_digits(n, bits)
+    digits = _signed_digits(n, bits, e)
     for i in (digits[0][0], digits[-1][0]):
         if nvars == 2:
-            _check_exponent(degree - e - i)
-        _check_exponent(e + i)
-    if nvars == 1:
-        return {(e + i, 0): c for i, c in digits}
-    return {(degree - e - i, e + i): c for i, c in digits}
+            _check_exponent(degree - i)
+        _check_exponent(i)
+    if nvars == 1 and len(digits) <= _KEYS_SIZE:
+        get = _keys.get
+        return {get(i) or _key(i): c for i, c in digits}
+    return {(degree - i, i) if nvars == 2 else (i, 0): c for i, c in digits}
 
 
 # The fold's decoded polynomials are shared.  A cold round hits 4,982 / 6,371
 # misses on `assoc` (4.2% slower without it), 598 / 1,172 on `oracle` and
-# 1,436 / 303 on `cli`; 1024 entries hold 1-2 MB, and 512 left op_p50 4% up.
+# 1,436 / 303 on `cli`; 1024 entries hold 0.8-1.0 MB, and 512 left op_p50 4% up.
 # Products decode without it, so they evict no entry.
 @lru_cache(maxsize=1024)
 def from_image(n: int, e: int, bits: int, nvars: int, degree: int) -> "LaurentPoly":
@@ -248,7 +267,7 @@ def _mul_terms(a: "LaurentPoly", b: "LaurentPoly") -> dict:
         if not a._terms:
             return {}
         ((qa, pa), ca), = a._terms.items()
-        return _shift_terms(b._terms, qa, pa, ca)
+        return _shift_terms(b._terms, qa, pa, ca, a.nvars)
     l1a, l1b = sum(map(abs, a._terms.values())), sum(map(abs, b._terms.values()))
     bits = (l1a * l1b).bit_length() + 2
     images: dict = {}

@@ -20,6 +20,7 @@ _MEMOS = (
 
 def _clear_memos():
     algebra._insert_cache.clear()
+    laurent._keys.clear()
     for memo in _MEMOS:
         memo.cache_clear()
 

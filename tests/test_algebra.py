@@ -539,9 +539,9 @@ def test_a_sparse_coefficient_decodes_in_few_lanes(monkeypatch):
     read = []
     real = laurent._signed_digits
 
-    def spy(n, bits):
+    def spy(n, bits, first=0):
         read.append(n.bit_length() // bits + 1)
-        return real(n, bits)
+        return real(n, bits, first)
 
     monkeypatch.setattr(laurent, "_signed_digits", spy)
     for n in (2000, 30000):
@@ -552,6 +552,22 @@ def test_a_sparse_coefficient_decodes_in_few_lanes(monkeypatch):
             f" + (-q^{n - 1} - q^{n - 3} - q^-{n + 1} - q^-{n + 3}) * L[0]"
         )
         assert sum(read) < 20, read
+
+
+def test_held_products_share_one_key_per_exponent(cold_caches):
+    """Counted, not timed: the normal forms of seeded standard words and
+    their products both ways, held together, hold one key object (and one
+    exponent int) per distinct exponent, as in the `assoc` benchmark."""
+    cold_caches()
+    rng = random.Random(27)
+    letters = [L(n) for n in range(-5, 6)] + [W(n) for n in range(-5, 6)] + [T, T_INV]
+    held = []
+    for _ in range(200):
+        x, y, z = (normalize(tuple(rng.choices(letters, k=rng.randint(0, 3)))) for _ in range(3))
+        held += [x, y, multiply(multiply(x, y), z), multiply(x, multiply(y, z))]
+    keys = [k for el in held for _, c in el.terms() for k in c._terms]
+    assert len(keys) > 10 * len(set(keys)) > 1000
+    assert len({id(k) for k in keys}) == len({id(k[0]) for k in keys}) == len(set(keys))
 
 
 def test_generalized_products_of_mixed_degrees():

@@ -638,6 +638,26 @@ def test_monomial_shift_checks_the_exponent_window(terms, margin, edge):
                 result()
 
 
+def test_the_key_table_stays_within_its_bound(cold_caches):
+    """A shift and a decode of more terms than the key table holds build
+    their own keys, and shifts to ever new exponents evict the oldest: the
+    table never passes its bound, and every product equals, hashes, lists
+    and renders as the pair-loop product, whose keys are built fresh."""
+    bound = laurent._KEYS_SIZE
+    cold_caches()
+    wide = q_int(4 * bound)
+    cases = [(wide, LaurentPoly.q_power(3)), (LaurentPoly({(0, 0): 1, (1, 0): -1}), wide)]
+    cases += [(q_int(9), LaurentPoly.q_power(e)) for e in range(0, 12 * bound, 5)]
+    for i, (a, b) in enumerate(cases):
+        got, want = a * b, pair_loop_product(a, b)
+        assert len(laurent._keys) <= bound if i > 1 else not laurent._keys
+        assert got == want and hash(got) == hash(want)
+        assert got.items() == want.items() and str(got) == str(want)
+    # full, the oldest (lowest) exponents gone, the last product's keys shared
+    assert len(laurent._keys) == bound and min(laurent._keys) > 0
+    assert all(k is laurent._keys[k[0]] for k in got._terms)
+
+
 def test_eval_at_one_sums_the_coefficients():
     rng = random.Random(3)
     for nvars in (1, 2):
